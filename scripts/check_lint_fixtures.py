@@ -17,8 +17,8 @@ that never ran, so the fixtures are executable documentation AND the rot
 detector. Exit codes: 0 = all fixtures behave, 1 = mismatch, 2 = usage.
 
 The gate is engine-agnostic: anything that emits clang-tidy-style
-`file:line:col: warning: msg [check]` lines works, so the same fixtures
-validate both tools/lint/bouquet_lint.py and the clang-tidy plugin.
+`file:line:col: warning: msg [check]` lines works (--engine); by default it
+validates tools/lint/bouquet_lint.py.
 """
 
 import argparse

@@ -16,10 +16,7 @@
 #   lint           — the bouquet-* domain checks (tools/lint/): fixture
 #                    self-test (every check fires on its negative fixture,
 #                    escapes hold on the control) then a zero-findings sweep
-#                    over src/. Runs the portable python engine always; when
-#                    the clang-tidy plugin was built (CI installs the Clang
-#                    dev headers), additionally loads it into clang-tidy and
-#                    re-runs the bouquet-* checks AST-accurately.
+#                    over src/, both by the python engine.
 #
 # Default mode skips a pass whose tool is not installed (local dev boxes);
 # --strict (used by CI) fails instead, so CI can never silently lose a pass.
@@ -62,8 +59,6 @@ missing_tool() {
 mapfile -t SOURCES < <(find src tests bench examples \
                          \( -name '*.cc' -o -name '*.cpp' \) \
                          -not -path 'tests/static/*' | sort)
-# The bouquet-* plugin sweep mirrors the portable engine's scope: src only.
-mapfile -t LINT_SOURCES < <(find src -name '*.cc' | sort)
 
 # --- compile database ------------------------------------------------------
 # CMAKE_EXPORT_COMPILE_COMMANDS is always ON (top-level CMakeLists), so any
@@ -138,27 +133,6 @@ if [[ -z ${SKIP[lint]:-} ]]; then
     echo "== bouquet lint: zero-findings sweep over src/ =="
     if ! python3 tools/lint/run_lint.py --root .; then
       FAILURES+=("lint src sweep")
-    fi
-    # AST-accurate second opinion when the plugin was built (CI's
-    # static-analysis job installs the Clang dev headers and caches the
-    # plugin build). Its absence is not a failure even under --strict: the
-    # python engine above is the engine of record, and the plugin is a
-    # stricter re-check where the toolchain allows it.
-    PLUGIN=""
-    for so in "$BUILD_DIR"/tools/lint/libbouquet_tidy.so \
-              build/tools/lint/libbouquet_tidy.so; do
-      if [[ -f $so ]]; then PLUGIN=$so; break; fi
-    done
-    if [[ -n $PLUGIN ]] && command -v clang-tidy >/dev/null 2>&1; then
-      echo "== bouquet lint: clang-tidy plugin ($PLUGIN) =="
-      if ! clang-tidy -load "$PLUGIN" -p "$BUILD_DIR" --quiet \
-             --checks='-*,bouquet-*' --warnings-as-errors='bouquet-*' \
-             "${LINT_SOURCES[@]}"; then
-        FAILURES+=("lint plugin sweep")
-      fi
-    else
-      echo "note: clang-tidy plugin not built; the python engine served as" \
-           "the lint backend" >&2
     fi
   else
     missing_tool python3 lint

@@ -5,86 +5,21 @@
 // aborted executions jettison their intermediate results, per-node tuple
 // counters feed the running selectivity location q_run, spill-mode
 // executions run only the subtree up to the first error node, and the final
-// completing execution returns the true query result rows.
+// completing execution returns the true query result rows. The contour
+// ladders themselves live in ladder.h; this driver is their executor
+// backend.
 
 #ifndef BOUQUET_BOUQUET_DRIVER_H_
 #define BOUQUET_BOUQUET_DRIVER_H_
 
-#include <string>
-#include <vector>
-
 #include "bouquet/bouquet.h"
+#include "bouquet/ladder.h"
 #include "executor/builder.h"
-#include "executor/exec_context.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "optimizer/optimizer.h"
 
 namespace bouquet {
-
-/// Log entry for one partial/full execution.
-struct DriverStep {
-  /// Sentinel `contour` value for unbudgeted native runs (RunSinglePlan):
-  /// the step belongs to no ladder contour. Contour-indexed consumers must
-  /// bucket it explicitly — use HistogramSteps() instead of indexing
-  /// `by_contour[step.contour]` directly.
-  static constexpr int kNoContour = -1;
-
-  int contour = 0;
-  int plan_id = -1;
-  std::string plan_signature;
-  double budget = 0.0;
-  double charged = 0.0;     ///< cost units actually consumed
-  double wall_seconds = 0.0;
-  /// Buffer-pool page accesses charged during this execution (zero on
-  /// in-memory databases); reads are misses, hits are cached pages.
-  int64_t page_reads = 0;
-  int64_t page_hits = 0;
-  bool completed = false;
-  bool spilled = false;
-  int learned_dim = -1;
-};
-
-/// Outcome of a full bouquet-driven query execution.
-struct DriverResult {
-  bool completed = false;
-  double total_cost_units = 0.0;
-  double wall_seconds = 0.0;
-  int num_executions = 0;
-  int contours_crossed = 0;
-  /// Contours skipped up-front by a feedback warm start (SetWarmStart);
-  /// 0 for cold runs.
-  int warm_contours_skipped = 0;
-  /// Page-access totals summed over all steps (zero on in-memory data).
-  int64_t page_reads = 0;
-  int64_t page_hits = 0;
-  /// Diagram plan id of the completing plan, or -1 (the sentinel) when that
-  /// plan is not interned in the diagram — which legitimately happens when
-  /// the optimized run's final execution optimizes at the discovered q_run
-  /// and finds a plan outside the POSP. `final_plan_signature` is the
-  /// canonical identity in either case and is always set on completion.
-  int final_plan = -1;
-  std::string final_plan_signature;
-  std::vector<Row> rows;  ///< the query result
-  std::vector<DriverStep> steps;
-  /// Optimized runs only: the final q_run lower bounds per error dimension
-  /// — the selectivities the discovery process learned. Feed these into a
-  /// SelectivityErrorLog to improve future dimension identification.
-  DimVector discovered_selectivities;
-};
-
-/// Steps bucketed by contour with the DriverStep::kNoContour sentinel kept
-/// out of the indexed counts: `by_contour[k]` counts steps on contour k
-/// (sized to the deepest contour seen), `native` counts sentinel steps.
-/// Every contour-indexed reducer (bench tables, service aggregations) must
-/// go through this instead of using `step.contour` as a raw index, which
-/// would either crash or silently fold native runs into contour counts.
-struct ContourHistogram {
-  std::vector<int64_t> by_contour;
-  int64_t native = 0;
-};
-
-ContourHistogram HistogramSteps(const std::vector<DriverStep>& steps);
 
 /// Executes a query via its plan bouquet against real data.
 ///
@@ -99,12 +34,14 @@ class BouquetDriver {
   BouquetDriver(const PlanBouquet& bouquet, const PlanDiagram& diagram,
                 QueryOptimizer* opt, Database* db);
 
-  /// Basic algorithm: every plan on every contour, generic executions.
+  /// Basic algorithm (RunBasicLadder): every plan on every contour,
+  /// generic executions.
   DriverResult RunBasic();
 
-  /// Optimized algorithm: q_run tracking from instrumentation counters,
-  /// spill-mode learning executions, early contour jumps, and a final
-  /// full execution of the plan that is optimal at the discovered location.
+  /// Optimized algorithm (RunOptimizedLadder): q_run tracking from
+  /// instrumentation counters, spill-mode learning executions, early
+  /// contour jumps, and a final full execution of the plan that is optimal
+  /// at the discovered location.
   ///
   /// Known limitation (Section 5.2's "independent appearances" caveat): two
   /// error dimensions whose predicates are evaluated at the *same* plan node
@@ -147,23 +84,11 @@ class BouquetDriver {
   ExecEngine engine() const { return engine_; }
 
  private:
-  ExecContext MakeContext();
-  // Pre-resolved metric instruments (null when no registry is attached).
-  struct Instruments {
-    obs::Counter* executions = nullptr;
-    obs::Counter* contour_crossings = nullptr;
-    obs::Counter* spills = nullptr;
-    obs::Counter* fallbacks = nullptr;
-    obs::Counter* dims_learned = nullptr;
-    obs::Histogram* budget_utilization = nullptr;
-  };
-  // Fills `span` (started before the execution so operator spans nest
-  // under it) with the step's record, ends it, and updates the metrics.
-  void ObserveStep(const DriverStep& step, obs::Span* span);
-  // Updates q_run lower bounds from the instrumentation of a finished or
-  // aborted execution of `plan_root`; returns true if any bound moved.
-  bool HarvestSelectivities(const PlanNode& plan_root, ExecContext* ctx,
-                            DimVector* qrun, std::vector<bool>* learned);
+  LadderObs Obs() const {
+    LadderObs o = obs_;
+    o.ins = &ins_;
+    return o;
+  }
 
   const PlanBouquet* bouquet_;
   const PlanDiagram* diagram_;
@@ -171,11 +96,9 @@ class BouquetDriver {
   Database* db_;
   ExecEngine engine_ = ExecEngine::kBatch;
   int warm_start_ = 0;
-  obs::Tracer* tracer_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
-  Instruments ins_;
-  uint64_t trace_parent_ = 0;  ///< parent span id for the run root span
-  uint64_t trace_id_ = 0;
+  LadderObs obs_;  ///< tracer and the parent of the run root span
+  LadderInstruments ins_;
 };
 
 }  // namespace bouquet

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
+
+#include "bouquet/ladder.h"
 
 namespace bouquet {
 
@@ -96,54 +99,137 @@ double BouquetSimulator::ActualOptimal(uint64_t point) const {
   return pic * ModelErrorFactor(diagram_->plan_at(point), point);
 }
 
-SimResult BouquetSimulator::RunBasic(uint64_t qa) const {
-  SimResult res;
-  int last_plan = -1;
-  double last_progress = 0.0;
+// The ladder's surface backend for one run at q_a: plans are priced on the
+// precomputed cost matrix, a run completes iff the plan's actual cost at
+// q_a fits its budget, and spill learning steps q_run along the learning
+// dimension to the furthest grid index the plan's estimated cost still
+// fits, capped at the truth. Knowing q_a, it pins down every dimension
+// q_run has reached, and its unbudgeted run is the optimal plan at q_a:
+// exact once every dimension is learned (q_run == q_a), the oracle charge
+// in the safety net.
+class BouquetSimulator::Surface : public StepBackend {
+ public:
+  Surface(const BouquetSimulator& sim, uint64_t qa,
+          std::vector<GridPoint>* trace)
+      : sim_(sim),
+        grid_(sim.diagram_->grid()),
+        qa_(qa),
+        qa_pt_(grid_.PointAt(qa)),
+        trace_(trace) {}
 
-  for (size_t k = 0; k < bouquet_->contours.size(); ++k) {
-    const BouquetContour& contour = bouquet_->contours[k];
-    // Order: resume the previously-running plan first when present.
-    std::vector<int> order = contour.plan_ids;
-    if (last_plan >= 0) {
-      auto it = std::find(order.begin(), order.end(), last_plan);
-      if (it != order.end()) std::rotate(order.begin(), it, it + 1);
-    }
-    for (int plan : order) {
-      const double c = ActualCost(plan, qa);
-      const double prior =
-          (options_.continue_same_plan && plan == last_plan) ? last_progress
-                                                             : 0.0;
-      ++res.num_executions;
-      SimStep step;
-      step.contour = static_cast<int>(k);
-      step.plan_id = plan;
-      step.budget = contour.budget;
-      if (c <= contour.budget * (1.0 + kEps)) {
-        step.charged = c - prior;
-        step.completed = true;
-        res.total_cost += step.charged;
-        res.steps.push_back(step);
-        res.completed = true;
-        res.final_plan = plan;
-        res.final_contour = static_cast<int>(k);
-        return res;
-      }
-      step.charged = contour.budget - prior;
-      res.total_cost += step.charged;
-      res.steps.push_back(step);
-      last_plan = plan;
-      last_progress = contour.budget;
+  // Clamps the seed into the first quadrant of q_a, so a (contract-
+  // violating) over-estimate degrades to partial seeding instead of losing
+  // the completion guarantee.
+  void Seed(LadderState* st) override {
+    for (int d = 0; d < grid_.dims(); ++d) {
+      const int idx = std::min(grid_.AxisFloor(d, st->qrun[d]), qa_pt_[d]);
+      st->qrun[d] = grid_.axis(d)[idx];
+      st->learned[d] = idx == qa_pt_[d];
     }
   }
+  double OptimalCost(const DimVector& qrun) override {
+    return sim_.diagram_->cost_at(grid_.LinearIndex(Point(qrun)));
+  }
+  double PlanCost(int plan_id, const DimVector& qrun) override {
+    return sim_.EstimatedCost(plan_id, grid_.LinearIndex(Point(qrun)));
+  }
+  int ErrorDepth(int plan_id, int dim) override {
+    return sim_.dim_depth_[sim_.DenseIndex(plan_id)][dim];
+  }
 
-  // Guarantee violated (should not happen): fall back to the optimal plan.
-  res.fallback_used = true;
-  res.total_cost += ActualOptimal(qa);
-  res.completed = true;
-  res.final_plan = diagram_->plan_at(qa);
-  res.final_contour = static_cast<int>(bouquet_->contours.size()) - 1;
-  return res;
+  bool Run(int plan_id, double budget, int spill_dim, LadderState* st,
+           const obs::Span& /*span*/, DriverStep* step,
+           std::vector<Row>* /*rows*/) override {
+    const double cost = sim_.ActualCost(plan_id, qa_);
+    const double prior = Prior(plan_id);
+    step->completed = cost <= budget * (1.0 + kEps);
+    step->charged = (step->completed ? cost : budget) - prior;
+    if (!step->completed) {
+      last_plan_ = plan_id;
+      last_progress_ = budget;
+      step->spilled = spill_dim >= 0;
+    }
+    if (st == nullptr) return !step->completed;
+    if (step->spilled) {
+      GridPoint p = Point(st->qrun);
+      const uint64_t base = grid_.LinearIndex(p);
+      const std::vector<double>& cost_at =
+          sim_.est_cost_[sim_.DenseIndex(plan_id)];
+      int idx = p[spill_dim];
+      for (int trial = idx + 1; trial <= qa_pt_[spill_dim]; ++trial) {
+        if (cost_at[grid_.LinearWithDim(base, spill_dim, trial)] >
+            budget * (1.0 + kEps)) {
+          break;
+        }
+        idx = trial;
+      }
+      st->qrun[spill_dim] = grid_.axis(spill_dim)[idx];
+      if (idx == qa_pt_[spill_dim]) st->learned[spill_dim] = true;
+    }
+    trace_->push_back(Point(st->qrun));
+    return !step->completed;
+  }
+
+  void RunOptimal(const DimVector& /*at*/, LadderState* st,
+                  const obs::Span& /*span*/, DriverStep* step,
+                  std::vector<Row>* /*rows*/) override {
+    step->plan_id = sim_.diagram_->plan_at(qa_);
+    step->plan_signature = sim_.diagram_->plan(step->plan_id).signature;
+    step->charged = sim_.ActualOptimal(qa_) - Prior(step->plan_id);
+    step->completed = true;
+    if (st != nullptr) trace_->push_back(Point(st->qrun));
+  }
+
+ private:
+  GridPoint Point(const DimVector& sels) const {
+    GridPoint p(sels.size());
+    for (size_t d = 0; d < sels.size(); ++d) {
+      p[d] = grid_.AxisFloor(static_cast<int>(d), sels[d]);
+    }
+    return p;
+  }
+  // Progress a resumed plan already paid for.
+  double Prior(int plan_id) const {
+    return sim_.options_.continue_same_plan && plan_id == last_plan_
+               ? last_progress_
+               : 0.0;
+  }
+
+  const BouquetSimulator& sim_;
+  const EssGrid& grid_;
+  uint64_t qa_;
+  GridPoint qa_pt_;
+  std::vector<GridPoint>* trace_;  // q_run after each optimized step
+  int last_plan_ = -1;
+  double last_progress_ = 0.0;
+};
+
+namespace {
+
+SimResult ToSimResult(const DriverResult& r, int num_contours) {
+  SimResult s;
+  s.completed = r.completed;
+  s.fallback_used = r.fallback_used;
+  s.total_cost = r.total_cost_units;
+  s.num_executions = r.num_executions;
+  s.final_plan = r.final_plan;
+  s.final_contour = std::min(r.contours_crossed, num_contours - 1);
+  s.start_contour = r.warm_contours_skipped;
+  s.steps.reserve(r.steps.size());
+  for (const DriverStep& d : r.steps) {
+    s.steps.push_back(
+        {d.contour, d.plan_id, d.budget, d.charged, d.completed,
+         d.learned_dim});
+  }
+  return s;
+}
+
+}  // namespace
+
+SimResult BouquetSimulator::RunBasic(uint64_t qa) const {
+  Surface surface(*this, qa, nullptr);  // q_run is not tracked
+  return ToSimResult(RunBasicLadder(*bouquet_, *diagram_, &surface, {}),
+                     static_cast<int>(bouquet_->contours.size()));
 }
 
 SimResult BouquetSimulator::RunSafe(uint64_t qa) const {
@@ -164,223 +250,41 @@ SimResult BouquetSimulator::RunSafe(uint64_t qa) const {
   return res;
 }
 
-int BouquetSimulator::PickPlan(const BouquetContour& contour,
-                               const GridPoint& qrun,
-                               const std::vector<int>& remaining,
-                               const std::vector<bool>& dim_learned) const {
-  assert(!remaining.empty());
-  const EssGrid& grid = diagram_->grid();
-  const uint64_t qrun_linear = grid.LinearIndex(qrun);
-
-  // AxisPlans: plans whose contour points lie on an axis through q_run
-  // (equal to q_run in every dimension but one).
-  std::vector<int> axis_plans;
-  for (size_t i = 0; i < contour.points.size(); ++i) {
-    const GridPoint p = grid.PointAt(contour.points[i]);
-    int diffs = 0;
-    bool quadrant = true;
-    for (size_t d = 0; d < p.size(); ++d) {
-      if (p[d] < qrun[d]) {
-        quadrant = false;
-        break;
-      }
-      if (p[d] > qrun[d]) ++diffs;
-    }
-    if (!quadrant || diffs > 1) continue;
-    const int plan = contour.plan_at[i];
-    if (std::find(remaining.begin(), remaining.end(), plan) ==
-        remaining.end()) {
-      continue;
-    }
-    if (std::find(axis_plans.begin(), axis_plans.end(), plan) ==
-        axis_plans.end()) {
-      axis_plans.push_back(plan);
-    }
-  }
-  const std::vector<int>& pool = axis_plans.empty() ? remaining : axis_plans;
-
-  // Cheapest cost-equivalence group at q_run, then deepest error node among
-  // not-yet-learned dimensions.
-  double min_cost = std::numeric_limits<double>::infinity();
-  for (int plan : pool) {
-    min_cost = std::min(min_cost, EstimatedCost(plan, qrun_linear));
-  }
-  const double cutoff = min_cost * (1.0 + options_.cost_group_width);
-  int best_plan = pool.front();
-  int best_depth = -2;
-  for (int plan : pool) {
-    if (EstimatedCost(plan, qrun_linear) > cutoff) continue;
-    int depth = -1;
-    const auto& depths = dim_depth_[DenseIndex(plan)];
-    for (size_t dim = 0; dim < depths.size(); ++dim) {
-      if (!dim_learned[dim]) depth = std::max(depth, depths[dim]);
-    }
-    if (depth > best_depth) {
-      best_depth = depth;
-      best_plan = plan;
-    }
-  }
-  return best_plan;
-}
-
 SimResult BouquetSimulator::RunOptimized(uint64_t qa) const {
-  return RunOptimizedFrom(qa, GridPoint(diagram_->grid().dims(), 0), 0);
+  return RunOptimizedFrom(qa, diagram_->grid().Origin(), 0, nullptr, nullptr);
 }
 
-SimResult BouquetSimulator::RunOptimizedWarm(uint64_t qa,
-                                             int start_contour) const {
-  return RunOptimizedFrom(
-      qa, GridPoint(diagram_->grid().dims(), 0),
-      static_cast<size_t>(std::max(0, start_contour)));
+SimResult BouquetSimulator::RunOptimizedWarm(uint64_t qa, int start_contour,
+                                             obs::Tracer* tracer,
+                                             const obs::Span* parent) const {
+  return RunOptimizedFrom(qa, diagram_->grid().Origin(), start_contour,
+                          tracer, parent);
 }
 
 SimResult BouquetSimulator::RunOptimizedSeeded(uint64_t qa,
                                                const GridPoint& seed) const {
-  // Clamp the seed into the first quadrant of q_a so a (contract-violating)
-  // over-estimate degrades to partial seeding instead of losing the
-  // completion guarantee.
+  // Keep the seed on the grid; Surface::Seed clamps it below q_a.
   const EssGrid& grid = diagram_->grid();
-  const GridPoint qa_pt = grid.PointAt(qa);
-  GridPoint start = seed;
-  for (size_t d = 0; d < start.size(); ++d) {
-    start[d] = std::min(start[d], qa_pt[d]);
+  GridPoint on_grid = seed;
+  for (int d = 0; d < grid.dims(); ++d) {
+    on_grid[d] = std::clamp(on_grid[d], 0, grid.resolution(d) - 1);
   }
-  return RunOptimizedFrom(qa, std::move(start), 0);
+  return RunOptimizedFrom(qa, on_grid, 0, nullptr, nullptr);
 }
 
-SimResult BouquetSimulator::RunOptimizedFrom(uint64_t qa, GridPoint qrun,
-                                             size_t start_contour) const {
-  SimResult res;
-  const EssGrid& grid = diagram_->grid();
-  const GridPoint qa_pt = grid.PointAt(qa);
-  const int dims = grid.dims();
-
-  std::vector<bool> dim_learned(dims, false);
-  for (int d = 0; d < dims; ++d) dim_learned[d] = (qa_pt[d] == qrun[d]);
-
-  int last_plan = -1;
-  double last_progress = 0.0;
-
-  // Clamp to the LAST contour, not one past it: a warm start beyond the
-  // ladder still has to execute the Cmax contour to complete.
-  size_t k = bouquet_->contours.empty()
-                 ? 0
-                 : std::min(start_contour, bouquet_->contours.size() - 1);
-  res.start_contour = static_cast<int>(k);
-  while (k < bouquet_->contours.size()) {
-    const BouquetContour& contour = bouquet_->contours[k];
-    const double budget = contour.budget;
-
-    // Early skip: even the optimal plan at the (lower-bound) q_run exceeds
-    // this contour's budget, so nothing here can complete.
-    if (diagram_->cost_at(grid.LinearIndex(qrun)) > budget * (1.0 + kEps)) {
-      ++k;
-      continue;
-    }
-
-    std::vector<int> executed;
-    bool advanced = false;
-    while (!advanced) {
-      // Candidates: plans with at least one contour point in the first
-      // quadrant of q_run, not yet executed on this contour.
-      std::vector<int> remaining;
-      for (size_t i = 0; i < contour.points.size(); ++i) {
-        const GridPoint p = grid.PointAt(contour.points[i]);
-        bool quadrant = true;
-        for (int d = 0; d < dims; ++d) {
-          if (p[d] < qrun[d]) {
-            quadrant = false;
-            break;
-          }
-        }
-        if (!quadrant) continue;
-        const int plan = contour.plan_at[i];
-        if (std::find(executed.begin(), executed.end(), plan) !=
-                executed.end() ||
-            std::find(remaining.begin(), remaining.end(), plan) !=
-                remaining.end()) {
-          continue;
-        }
-        remaining.push_back(plan);
-      }
-      if (remaining.empty()) {
-        ++k;
-        break;
-      }
-
-      const int plan = PickPlan(contour, qrun, remaining, dim_learned);
-      // Learning dimension: deepest error node among unlearned dims.
-      int learn_dim = -1;
-      int learn_depth = -1;
-      const auto& depths = dim_depth_[DenseIndex(plan)];
-      for (int d = 0; d < dims; ++d) {
-        if (dim_learned[d]) continue;
-        if (depths[d] > learn_depth) {
-          learn_depth = depths[d];
-          learn_dim = d;
-        }
-      }
-
-      const double c = ActualCost(plan, qa);
-      const double prior =
-          (options_.continue_same_plan && plan == last_plan) ? last_progress
-                                                             : 0.0;
-      ++res.num_executions;
-      SimStep step;
-      step.contour = static_cast<int>(k);
-      step.plan_id = plan;
-      step.budget = budget;
-      step.learned_dim = learn_dim;
-      if (c <= budget * (1.0 + kEps)) {
-        step.charged = c - prior;
-        step.completed = true;
-        res.total_cost += step.charged;
-        res.steps.push_back(step);
-        res.qrun_trace.push_back(qrun);
-        res.completed = true;
-        res.final_plan = plan;
-        res.final_contour = static_cast<int>(k);
-        return res;
-      }
-      step.charged = budget - prior;
-      res.total_cost += step.charged;
-      res.steps.push_back(step);
-      last_plan = plan;
-      last_progress = budget;
-      executed.push_back(plan);
-
-      // Spill-based learning: move q_run along the learning dimension to the
-      // furthest grid index still within budget (capped at the truth).
-      if (learn_dim >= 0) {
-        const int dense = DenseIndex(plan);
-        int idx = qrun[learn_dim];
-        const uint64_t base = grid.LinearIndex(qrun);
-        for (int trial = idx + 1; trial <= qa_pt[learn_dim]; ++trial) {
-          const uint64_t pt = grid.LinearWithDim(base, learn_dim, trial);
-          if (est_cost_[dense][pt] > budget * (1.0 + kEps)) break;
-          idx = trial;
-        }
-        qrun[learn_dim] = idx;
-        if (idx == qa_pt[learn_dim]) dim_learned[learn_dim] = true;
-      }
-      res.qrun_trace.push_back(qrun);
-
-      // Early contour change: optimal cost at q_run already exceeds the
-      // current budget.
-      if (diagram_->cost_at(grid.LinearIndex(qrun)) >
-          budget * (1.0 + kEps)) {
-        ++k;
-        advanced = true;
-      }
-    }
-  }
-
-  // Guarantee violated (should not happen): fall back to the optimal plan.
-  res.fallback_used = true;
-  res.total_cost += ActualOptimal(qa);
-  res.completed = true;
-  res.final_plan = diagram_->plan_at(qa);
-  res.final_contour = static_cast<int>(bouquet_->contours.size()) - 1;
+SimResult BouquetSimulator::RunOptimizedFrom(uint64_t qa,
+                                             const GridPoint& seed,
+                                             int start_contour,
+                                             obs::Tracer* tracer,
+                                             const obs::Span* parent) const {
+  std::vector<GridPoint> trace;
+  Surface surface(*this, qa, &trace);
+  SimResult res = ToSimResult(
+      RunOptimizedLadder(*bouquet_, *diagram_, &surface,
+                         diagram_->grid().SelectivityAt(seed), start_contour,
+                         LadderObs::Under(tracer, parent)),
+      static_cast<int>(bouquet_->contours.size()));
+  res.qrun_trace = std::move(trace);
   return res;
 }
 
@@ -388,31 +292,6 @@ double BouquetSimulator::SubOpt(const SimResult& result, uint64_t qa) const {
   const double optimal = ActualOptimal(qa);
   assert(optimal > 0.0);
   return result.total_cost / optimal;
-}
-
-void BouquetSimulator::EmitTrace(const SimResult& result, uint64_t qa,
-                                 obs::Tracer* tracer,
-                                 const obs::Span* parent) const {
-  if (tracer == nullptr) return;
-  obs::Span run = tracer->StartSpan("sim.run", parent);
-  for (const SimStep& step : result.steps) {
-    obs::Span s = tracer->StartSpan("sim.step", &run);
-    s.Num("contour", step.contour)
-        .Num("plan_id", step.plan_id)
-        .Num("budget", step.budget)
-        .Num("charged", step.charged)
-        .Flag("completed", step.completed)
-        .Num("learned_dim", step.learned_dim);
-    s.End();
-  }
-  run.Num("qa", static_cast<double>(qa))
-      .Num("executions", result.num_executions)
-      .Num("total_cost_units", result.total_cost)
-      .Num("final_plan", result.final_plan)
-      .Num("subopt", SubOpt(result, qa))
-      .Flag("completed", result.completed)
-      .Flag("fallback", result.fallback_used);
-  run.End();
 }
 
 }  // namespace bouquet

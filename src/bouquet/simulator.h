@@ -3,10 +3,10 @@
 // The paper's headline metrics (MSO/ASO/MH, Figures 14-17) are computed over
 // optimizer cost surfaces, exactly as done here: a partial execution of plan
 // P with budget b at true location q_a completes iff cost_P(q_a) <= b, and
-// otherwise consumes the full budget. The optimized variant additionally
-// tracks the running location q_run, prunes plans outside its first quadrant,
-// selects executions via the AxisPlans heuristic, models spill-based
-// selectivity learning, and jumps contours early (Sections 5.1-5.3).
+// otherwise consumes the full budget. The simulator is the surface backend
+// of the contour ladders in ladder.h — the same Figure-7 and Figure-13 code
+// the real-data driver runs — with spill learning modelled by stepping
+// q_run along the grid while the plan's cost stays within budget.
 //
 // Consecutive re-executions of the same plan resume rather than restart
 // (matching the paper's 1D walkthrough where P1 runs continuously through
@@ -60,8 +60,6 @@ struct SimOptions {
   /// Section 3.4: deterministic per-(plan,point) cost modeling error in
   /// [1/(1+delta), (1+delta)] applied to "actual" execution costs.
   double model_error_delta = 0.0;
-  /// Cost-equivalence clustering width of the AxisPlans heuristic.
-  double cost_group_width = 0.2;
 };
 
 /// Simulator bound to a bouquet + diagram. Precomputes the cost surface of
@@ -115,18 +113,14 @@ class BouquetSimulator {
   /// frontier points; see contours.h); the Theorem-3 MSO bound additionally
   /// holds whenever the feedback seed that chose `start_contour` is
   /// dominated by q_a (see feedback/warm_start.h for the clamp argument).
-  SimResult RunOptimizedWarm(uint64_t qa, int start_contour) const;
+  /// With a tracer, the run emits the ladder's driver.* spans under
+  /// `parent`.
+  SimResult RunOptimizedWarm(uint64_t qa, int start_contour,
+                             obs::Tracer* tracer = nullptr,
+                             const obs::Span* parent = nullptr) const;
 
   /// Sub-optimality of a run: total cost / actual optimal cost at q_a.
   double SubOpt(const SimResult& result, uint64_t qa) const;
-
-  /// Replays a finished run into the tracer as a "sim.run" span with one
-  /// "sim.step" child per SimStep (null tracer = no-op). The simulator has
-  /// no wall clock of its own, so durations are zero; the value is the
-  /// structure: budgets, charges, learned dims, and the final SubOpt,
-  /// nested under `parent` (e.g. the service's request span).
-  void EmitTrace(const SimResult& result, uint64_t qa, obs::Tracer* tracer,
-                 const obs::Span* parent = nullptr) const;
 
   /// Estimated cost of a bouquet plan at a grid point.
   double EstimatedCost(int plan_id, uint64_t point) const;
@@ -139,16 +133,13 @@ class BouquetSimulator {
   const PlanDiagram& diagram() const { return *diagram_; }
 
  private:
+  class Surface;  // the ladder backend over this simulator's cost matrix
+
   int DenseIndex(int plan_id) const;
   double ModelErrorFactor(int plan_id, uint64_t point) const;
-  SimResult RunOptimizedFrom(uint64_t qa, GridPoint qrun,
-                             size_t start_contour) const;
-  // The AxisPlans selection heuristic; returns a diagram plan id from
-  // `remaining`, preferring plans on the contour's axis intersections wrt
-  // q_run, cheapest cost group, deepest error node.
-  int PickPlan(const BouquetContour& contour, const GridPoint& qrun,
-               const std::vector<int>& remaining,
-               const std::vector<bool>& dim_learned) const;
+  SimResult RunOptimizedFrom(uint64_t qa, const GridPoint& seed,
+                             int start_contour, obs::Tracer* tracer,
+                             const obs::Span* parent) const;
 
   const PlanBouquet* bouquet_;
   const PlanDiagram* diagram_;

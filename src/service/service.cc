@@ -59,7 +59,7 @@ BouquetService::BouquetService(const Catalog& catalog, ServiceOptions options)
         "bouquet_spills_total", "Spill-mode learning executions issued");
     ins_.fallbacks = m->GetCounter(
         "bouquet_fallbacks_total",
-        "Simulated runs that violated the guarantee and fell back");
+        "Runs that exhausted every contour budget and fell back");
     ins_.batches = m->GetCounter("service_batches_total",
                                  "Same-template batches served by RunBatch");
     ins_.batch_requests = m->GetCounter(
@@ -454,12 +454,11 @@ void BouquetService::ExecuteWithBundle(
   const int warm_start = FeedbackStartContour(*c, r.template_hash, req_span);
   if (request.mode == ExecutionMode::kSimulate) {
     const uint64_t qa = SnapToGrid(*c->grid, request.actual_selectivities);
-    r.sim = warm_start > 0 ? c->simulator->RunOptimizedWarm(qa, warm_start)
-                           : c->simulator->RunOptimized(qa);
-    c->simulator->EmitTrace(r.sim, qa, options_.tracer, req_span);
-    if (ins_.suboptimality != nullptr) {
-      ins_.suboptimality->Observe(c->simulator->SubOpt(r.sim, qa));
-    }
+    r.sim = c->simulator->RunOptimizedWarm(qa, warm_start, options_.tracer,
+                                           req_span);
+    const double subopt = c->simulator->SubOpt(r.sim, qa);
+    req_span->Num("subopt", subopt);
+    if (ins_.suboptimality != nullptr) ins_.suboptimality->Observe(subopt);
   } else {
     // Per-request optimizer + driver: both are bound to this request's
     // constants and neither is shared across threads.
@@ -496,13 +495,14 @@ void BouquetService::ExecuteWithBundle(
       // completing one; only aborted steps actually spill-learned.
       if (!s.completed && s.learned_dim >= 0) ++spills;
     }
-    if (r.sim.fallback_used) fallbacks = 1;
+    fallbacks = r.sim.fallback_used ? 1 : 0;
   } else {
     executions = static_cast<uint64_t>(r.real.num_executions);
     crossings = static_cast<uint64_t>(std::max(r.real.contours_crossed, 0));
     for (const DriverStep& s : r.real.steps) {
       if (s.spilled) ++spills;
     }
+    fallbacks = r.real.fallback_used ? 1 : 0;
   }
   if (ins_.plan_executions != nullptr) {
     ins_.plan_executions->Inc(executions);

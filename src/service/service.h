@@ -147,8 +147,8 @@ struct ServiceStats {
   double latency_seconds = 0.0;
   /// Run-time-phase aggregates summed over finished requests (both modes):
   /// plan executions issued, contours crossed without completing, spill-mode
-  /// learning executions, and guarantee fallbacks (simulated runs only —
-  /// the real-data driver reports fallbacks via its own metric counter).
+  /// learning executions, and safety-net fallbacks (runs that exhausted
+  /// every contour budget).
   uint64_t plan_executions = 0;
   uint64_t contour_crossings = 0;
   uint64_t spills = 0;

@@ -54,8 +54,7 @@ std::vector<obs::TraceEvent> SpansNamed(
 void CheckBudgetInvariant(const std::vector<obs::TraceEvent>& events) {
   int checked = 0;
   for (const auto& ev : events) {
-    if (ev.name != "driver.step" && ev.name != "sim.step" &&
-        ev.name != "exec.plan") {
+    if (ev.name != "driver.step" && ev.name != "exec.plan") {
       continue;
     }
     if (!std::isnan(NumAttr(ev, "build_failed"))) continue;
@@ -241,20 +240,23 @@ TEST(ServiceObservabilityTest, TracedRequestsSatisfyBudgetInvariant) {
   CheckBudgetInvariant(events);
 
   // Span-tree shape: one request root per Run, compiles under requests,
-  // sim runs under requests, steps under sim runs.
+  // ladder runs under requests, steps under ladder runs.
   const auto requests = SpansNamed(events, "service.request");
   ASSERT_EQ(requests.size(), 4u);
+  for (const auto& req : requests) {
+    EXPECT_FALSE(std::isnan(NumAttr(req, "subopt")));
+  }
   const auto compiles = SpansNamed(events, "service.compile");
   ASSERT_EQ(compiles.size(), 1u);  // single template, compiled once
   EXPECT_EQ(compiles[0].parent_id, requests[0].span_id);
-  const auto sim_runs = SpansNamed(events, "sim.run");
+  const auto sim_runs = SpansNamed(events, "driver.run_optimized");
   ASSERT_EQ(sim_runs.size(), 4u);
   int steps_total = 0;
-  for (const auto& run : sim_runs) {
-    EXPECT_FALSE(std::isnan(NumAttr(run, "subopt")));
-    EXPECT_DOUBLE_EQ(NumAttr(run, "completed"), 1.0);
-    for (const auto& step : SpansNamed(events, "sim.step")) {
-      if (step.parent_id == run.span_id) ++steps_total;
+  for (size_t i = 0; i < sim_runs.size(); ++i) {
+    EXPECT_EQ(sim_runs[i].parent_id, requests[i].span_id);
+    EXPECT_DOUBLE_EQ(NumAttr(sim_runs[i], "completed"), 1.0);
+    for (const auto& step : SpansNamed(events, "driver.step")) {
+      if (step.parent_id == sim_runs[i].span_id) ++steps_total;
     }
   }
   EXPECT_GT(steps_total, 0);

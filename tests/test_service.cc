@@ -501,6 +501,55 @@ TEST(ServiceRealDataTest, ConcurrentDriverExecutions) {
   EXPECT_EQ(service.cache().size(), 1u);
 }
 
+// Regression: a real-data run that exhausts every contour budget used to
+// finish through the driver's safety net without being counted, so
+// ServiceStats::fallbacks and bouquet_fallbacks_total saw simulated
+// fallbacks only. Starved budgets (as in
+// DriverTest.AllBudgetsExceededFallsBackAndCountsContours) force it.
+TEST(ServiceRealDataTest, StarvedBudgetFallbackIsCounted) {
+  Database db;
+  TpchDataOptions data_opts;
+  data_opts.mini_scale = 0.1;
+  MakeTpchDatabase(&db, data_opts);
+  Catalog catalog;
+  SyncTpchCatalog(db, &catalog);
+  const QuerySpec form = Make2DHQ8a(catalog);
+
+  obs::MetricsRegistry metrics;
+  ServiceOptions opts;
+  opts.num_threads = 1;
+  opts.grid_resolution = 10;
+  opts.database = &db;
+  opts.metrics = &metrics;
+  const EssGrid grid(form, {10, 10});
+  const PlanDiagram diagram =
+      GeneratePosp(form, catalog, opts.cost_params, grid);
+  QueryOptimizer opt(form, catalog, opts.cost_params);
+  PlanBouquet starved = BuildBouquet(diagram, &opt, opts.bouquet_params);
+  for (BouquetContour& c : starved.contours) c.budget = 1.0;
+  const std::string path =
+      ::testing::TempDir() + "/test_service_starved.bouquet";
+  ASSERT_TRUE(SaveBouquetToFile(diagram, starved, path).ok());
+  BouquetService service(catalog, opts);
+  ASSERT_TRUE(service.WarmStart(form, path).ok());
+
+  ServiceRequest req;
+  req.query = form;
+  BindSelectionConstants(&req.query, catalog, {0.3, 0.4});
+  req.mode = ExecutionMode::kRealData;
+  auto res = service.Run(req);
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  EXPECT_TRUE(res->real.completed);
+  EXPECT_TRUE(res->real.fallback_used);
+  EXPECT_EQ(res->real.contours_crossed,
+            static_cast<int>(starved.contours.size()));
+  EXPECT_EQ(service.stats().fallbacks, 1u);
+  EXPECT_EQ(metrics.GetCounter("bouquet_fallbacks_total", "")->value(), 1u);
+  EXPECT_EQ(metrics.GetCounter("bouquet_driver_fallbacks_total", "")->value(),
+            1u);
+  std::remove(path.c_str());
+}
+
 // ----------------------------------------------------- Feedback integration
 
 TEST(BouquetCacheTest, WarmEntriesTrackedThroughEviction) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "bouquet/bounds.h"
+#include "bouquet/ladder.h"
 #include "bouquet/simulator.h"
 #include "ess/posp_generator.h"
 #include "robustness/metrics.h"
@@ -191,6 +192,147 @@ TEST_P(ModelErrorSweep, MsoInflationBounded) {
 
 INSTANTIATE_TEST_SUITE_P(Deltas, ModelErrorSweep,
                          ::testing::Values(0.1, 0.2, 0.4));
+
+// ---------------------------------------------------------------------------
+// Differential check of the ladder/backend seam: a backend that prices and
+// charges every plan live through QueryOptimizer (CostPlanAt, OptimizeAt)
+// at q_a, with the surface backend's grid-stepping spill model and resume
+// accounting, must drive the shared ladder through exactly the step
+// sequence BouquetSimulator produces from its precomputed cost matrix.
+// ---------------------------------------------------------------------------
+
+class ModelCostBackend : public StepBackend {
+ public:
+  ModelCostBackend(const Pipeline& p, QueryOptimizer* opt, uint64_t qa,
+                   bool resume)
+      : p_(p),
+        opt_(opt),
+        qa_sel_(p.grid.SelectivityAt(qa)),
+        qa_pt_(p.grid.PointAt(qa)),
+        resume_(resume) {}
+
+  void Seed(LadderState* st) override {
+    for (int d = 0; d < p_.grid.dims(); ++d) {
+      const int idx = std::min(p_.grid.AxisFloor(d, st->qrun[d]), qa_pt_[d]);
+      st->qrun[d] = p_.grid.axis(d)[idx];
+      st->learned[d] = idx == qa_pt_[d];
+    }
+  }
+  double OptimalCost(const DimVector& qrun) override {
+    return opt_->OptimizeAt(qrun).cost;
+  }
+  double PlanCost(int plan_id, const DimVector& qrun) override {
+    return opt_->CostPlanAt(Root(plan_id), qrun);
+  }
+  int ErrorDepth(int plan_id, int dim) override {
+    const ErrorDimension& ed = opt_->query().error_dims[dim];
+    return ErrorNodeMaxDepth(Root(plan_id), ed.kind == DimKind::kJoin,
+                             ed.predicate_index);
+  }
+  bool Run(int plan_id, double budget, int spill_dim, LadderState* st,
+           const obs::Span&, DriverStep* step, std::vector<Row>*) override {
+    const double cost = opt_->CostPlanAt(Root(plan_id), qa_sel_);
+    const double prior = Prior(plan_id);
+    step->completed = cost <= budget * (1.0 + 1e-9);
+    step->charged = (step->completed ? cost : budget) - prior;
+    if (step->completed) return false;
+    last_plan_ = plan_id;
+    last_progress_ = budget;
+    if (st == nullptr || spill_dim < 0) return true;
+    // Step q_run along the learning dimension while the plan's modelled
+    // cost stays within budget, capped at the truth.
+    GridPoint at(st->qrun.size());
+    for (size_t d = 0; d < at.size(); ++d) {
+      at[d] = p_.grid.AxisFloor(static_cast<int>(d), st->qrun[d]);
+    }
+    while (at[spill_dim] < qa_pt_[spill_dim]) {
+      ++at[spill_dim];
+      if (PlanCost(plan_id, p_.grid.SelectivityAt(at)) > budget * (1 + 1e-9)) {
+        --at[spill_dim];
+        break;
+      }
+    }
+    st->qrun[spill_dim] = p_.grid.axis(spill_dim)[at[spill_dim]];
+    st->learned[spill_dim] = at[spill_dim] == qa_pt_[spill_dim];
+    return true;
+  }
+  void RunOptimal(const DimVector&, LadderState*, const obs::Span&,
+                  DriverStep* step, std::vector<Row>*) override {
+    const Plan plan = opt_->OptimizeAt(qa_sel_);
+    step->plan_id = p_.diagram.FindPlan(plan.signature);
+    step->charged = plan.cost - Prior(step->plan_id);
+    step->completed = true;
+  }
+
+ private:
+  const PlanNode& Root(int plan_id) const {
+    return *p_.diagram.plan(plan_id).root;
+  }
+  double Prior(int plan_id) const {
+    return resume_ && plan_id == last_plan_ ? last_progress_ : 0.0;
+  }
+
+  const Pipeline& p_;
+  QueryOptimizer* opt_;
+  DimVector qa_sel_;
+  GridPoint qa_pt_;
+  bool resume_;
+  int last_plan_ = -1;
+  double last_progress_ = 0.0;
+};
+
+void ExpectSameSteps(const SimResult& sim, const DriverResult& model,
+                     const std::string& what) {
+  ASSERT_EQ(sim.steps.size(), model.steps.size()) << what;
+  for (size_t i = 0; i < sim.steps.size(); ++i) {
+    const SimStep& a = sim.steps[i];
+    const DriverStep& b = model.steps[i];
+    EXPECT_EQ(a.contour, b.contour) << what << " step " << i;
+    EXPECT_EQ(a.plan_id, b.plan_id) << what << " step " << i;
+    EXPECT_EQ(a.budget, b.budget) << what << " step " << i;
+    EXPECT_EQ(a.charged, b.charged) << what << " step " << i;
+    EXPECT_EQ(a.completed, b.completed) << what << " step " << i;
+    EXPECT_EQ(a.learned_dim, b.learned_dim) << what << " step " << i;
+  }
+  EXPECT_EQ(sim.fallback_used, model.fallback_used) << what;
+}
+
+class LadderSeamTest
+    : public ::testing::TestWithParam<std::pair<const char*, int>> {};
+
+TEST_P(LadderSeamTest, ModelCostBackendMatchesSimulatorEverywhere) {
+  const auto [space, res] = GetParam();
+  Pipeline p(space, std::vector<int>(3, res));
+  for (bool resume : {true, false}) {
+    SimOptions opts;
+    opts.continue_same_plan = resume;
+    const BouquetSimulator sim(p.bouquet, p.diagram, &p.opt, opts);
+    const int num_contours = static_cast<int>(p.bouquet.contours.size());
+    for (uint64_t qa = 0; qa < p.grid.num_points(); ++qa) {
+      const std::string at = std::string(space) + " qa=" + std::to_string(qa) +
+                             (resume ? " resume" : " restart");
+      {
+        ModelCostBackend model(p, &p.opt, qa, resume);
+        ExpectSameSteps(sim.RunBasic(qa),
+                        RunBasicLadder(p.bouquet, p.diagram, &model, {}),
+                        at + " basic");
+      }
+      for (int warm : {0, 1, num_contours / 2, num_contours}) {
+        ModelCostBackend model(p, &p.opt, qa, resume);
+        ExpectSameSteps(
+            sim.RunOptimizedWarm(qa, warm),
+            RunOptimizedLadder(p.bouquet, p.diagram, &model,
+                               p.grid.SelectivityAt(p.grid.Origin()), warm,
+                               {}),
+            at + " warm=" + std::to_string(warm));
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Templates, LadderSeamTest,
+                         ::testing::Values(std::make_pair("3D_H_Q5", 6),
+                                           std::make_pair("3D_DS_Q96", 6)));
 
 }  // namespace
 }  // namespace bouquet

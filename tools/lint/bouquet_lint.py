@@ -35,15 +35,13 @@ The checks encode repo-specific invariants the MSO guarantee depends on
 Statement-level escapes use clang-tidy comment syntax, which this engine
 honors too: `// NOLINT(bouquet-…): reason` and `// NOLINTNEXTLINE(bouquet-…)`.
 
-Output format matches clang-tidy (`file:line:col: warning: msg [check]`) so
-scripts/check_lint_fixtures.py can drive either engine. Exit codes:
+Output format matches clang-tidy (`file:line:col: warning: msg [check]`),
+which scripts/check_lint_fixtures.py parses. Exit codes:
 0 = clean, 1 = findings, 2 = usage/configuration error. Stdlib only.
 
 This engine is intentionally token-level (with comment/string stripping and
 brace matching, not a real parser): it runs everywhere, including build
-images without Clang. The clang-tidy plugin in this directory implements
-the same checks AST-accurately and is loaded by run_static_analysis.sh
-whenever Clang development headers are available.
+images without Clang.
 """
 
 import argparse
