@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "common/lint.h"
 #include "executor/exec_context.h"
@@ -43,11 +44,13 @@ bool SubtreeHasUnlearnedDim(const PlanNode& node, const QuerySpec& q,
 class ExecutorBackend : public StepBackend {
  public:
   ExecutorBackend(const PlanDiagram& diagram, QueryOptimizer* opt,
-                  Database* db, ExecEngine engine, obs::Tracer* tracer,
+                  Database* db, storage::AccessLedger* ledger,
+                  ExecEngine engine, obs::Tracer* tracer,
                   obs::MetricsRegistry* metrics)
       : diagram_(diagram),
         opt_(opt),
         db_(db),
+        ledger_(ledger),
         engine_(engine),
         tracer_(tracer),
         metrics_(metrics) {}
@@ -110,6 +113,7 @@ class ExecutorBackend : public StepBackend {
     ctx.query = &opt_->query();
     ctx.catalog = &opt_->catalog();
     ctx.db = db_;
+    ctx.ledger = ledger_;
     ctx.cost_model = &opt_->cost_model();
     ctx.metrics = metrics_;
     ctx.tracer = tracer_;
@@ -140,6 +144,7 @@ class ExecutorBackend : public StepBackend {
   const PlanDiagram& diagram_;
   QueryOptimizer* opt_;
   Database* db_;
+  storage::AccessLedger* ledger_;
   ExecEngine engine_;
   obs::Tracer* tracer_;
   obs::MetricsRegistry* metrics_;
@@ -239,6 +244,34 @@ void ExecutorBackend::Harvest(const PlanNode& plan_root,
   }
 }
 
+// One run's private accounting view of a paged database's buffer pool:
+// forked from the pool's base ledger when the run starts, its counts folded
+// into the pool's stats when the run ends. Every step of the run charges
+// against it, so the run's hit/miss sequence depends on nothing a
+// concurrent request does.
+class RunLedger {
+ public:
+  explicit RunLedger(const Database* db)
+      : pool_(db != nullptr && db->storage() != nullptr
+                  ? db->storage()->buffer()
+                  : nullptr) {
+    if (pool_ != nullptr) ledger_.emplace(pool_->ForkLedger());
+  }
+  ~RunLedger() {
+    if (pool_ != nullptr) pool_->FoldLedger(*ledger_);
+  }
+  RunLedger(const RunLedger&) = delete;
+  RunLedger& operator=(const RunLedger&) = delete;
+
+  storage::AccessLedger* get() {
+    return ledger_.has_value() ? &*ledger_ : nullptr;
+  }
+
+ private:
+  storage::BufferManager* pool_;
+  std::optional<storage::AccessLedger> ledger_;
+};
+
 }  // namespace
 
 BouquetDriver::BouquetDriver(const PlanBouquet& bouquet,
@@ -255,8 +288,9 @@ void BouquetDriver::SetObservability(obs::Tracer* tracer,
 }
 
 DriverResult BouquetDriver::RunBasic() {
-  ExecutorBackend backend(*diagram_, opt_, db_, engine_, obs_.tracer,
-                          metrics_);
+  RunLedger ledger(db_);
+  ExecutorBackend backend(*diagram_, opt_, db_, ledger.get(), engine_,
+                          obs_.tracer, metrics_);
   return RunBasicLadder(*bouquet_, *diagram_, &backend, Obs());
 }
 
@@ -266,8 +300,9 @@ DriverResult BouquetDriver::RunOptimized() {
   for (const ErrorDimension& ed : opt_->query().error_dims) {
     lows.push_back(ed.lo);
   }
-  ExecutorBackend backend(*diagram_, opt_, db_, engine_, obs_.tracer,
-                          metrics_);
+  RunLedger ledger(db_);
+  ExecutorBackend backend(*diagram_, opt_, db_, ledger.get(), engine_,
+                          obs_.tracer, metrics_);
   return RunOptimizedLadder(*bouquet_, *diagram_, &backend, std::move(lows),
                             warm_start_, Obs());
 }
@@ -284,8 +319,9 @@ DriverResult BouquetDriver::RunSinglePlan(const PlanNode& root) {
   // may not be interned in the diagram — FindPlan's -1 sentinel is valid.
   step.plan_signature = PlanSignature(root);
   step.plan_id = diagram_->FindPlan(step.plan_signature);
-  ExecutorBackend backend(*diagram_, opt_, db_, engine_, obs_.tracer,
-                          metrics_);
+  RunLedger ledger(db_);
+  ExecutorBackend backend(*diagram_, opt_, db_, ledger.get(), engine_,
+                          obs_.tracer, metrics_);
   backend.Exec(root, false, kInf, nullptr, span, &step, &res.rows);
   ObserveStep(step, &span, &ins_);
 

@@ -27,7 +27,11 @@ namespace bouquet {
 /// execution through its single QueryOptimizer). The supported concurrency
 /// pattern — used by BouquetService — is one driver + one optimizer per
 /// request, all sharing the same const bouquet/diagram and a Database whose
-/// lazy index caches are internally locked.
+/// lazy index caches are internally locked. On a paged Database each
+/// RunBasic/RunOptimized/RunSinglePlan forks a private buffer-pool ledger
+/// (storage::AccessLedger) from the pool's base ledger and charges every
+/// step against it, so a run's page hits and misses — and with them its
+/// charges and abort points — never depend on concurrent requests.
 class BouquetDriver {
  public:
   /// All referenced objects must outlive the driver.

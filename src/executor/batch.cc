@@ -63,7 +63,7 @@ bool BatchExecState::Replay(const std::vector<MeterEvent>& events,
       // time, executed in the identical (scalar charge) order — so hit/miss
       // outcomes, and therefore every subsequent add, match bit for bit.
       const bool hit =
-          buffer_->Access(storage::PageId{e->file, e->page});
+          ctx_->AccessPage(buffer_, storage::PageId{e->file, e->page});
       if (hit) {
         ctx_->page_hits_charged++;
       } else {
@@ -135,7 +135,8 @@ bool BatchExecState::ReplayNoAbort(const std::vector<MeterEvent>& events,
     if (e.kind == EvKind::kPageSeq || e.kind == EvKind::kPageRand) {
       // Access() runs in event order here too; only the meter adds are
       // deferred to the flat loop below, which walks u[] in the same order.
-      const bool hit = buffer_->Access(storage::PageId{e.file, e.page});
+      const bool hit =
+          ctx_->AccessPage(buffer_, storage::PageId{e.file, e.page});
       if (hit) {
         ctx_->page_hits_charged++;
       } else {

@@ -242,9 +242,10 @@ class BatchExecState {
   std::vector<NodeCounters*> nc_;
   std::vector<double> units_;  ///< flat-replay scratch
   bool aborted_ = false;
-  /// Paged storage (null for in-memory databases). Page events call
-  /// BufferManager::Access here, in replay order — the same deterministic
-  /// accounting sequence the scalar engine produces at access time.
+  /// Paged storage (null for in-memory databases). Page events resolve
+  /// through ExecContext::AccessPage here, in replay order — the same
+  /// deterministic accounting sequence the scalar engine produces at access
+  /// time.
   storage::BufferManager* buffer_ = nullptr;
   double page_hit_cost_ = 0.0;
   double page_seq_cost_ = 0.0;

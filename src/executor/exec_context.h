@@ -18,6 +18,7 @@
 #include "obs/trace.h"
 #include "optimizer/cost_model.h"
 #include "query/query_spec.h"
+#include "storage/buffer_manager.h"
 #include "storage/index.h"
 
 namespace bouquet {
@@ -90,10 +91,21 @@ struct ExecContext {
   /// Every buffer-pool Access() the meter charged for is counted here:
   /// misses charge seq/random_page_cost, hits charge buffer_hit_page_cost.
   /// The property oracle cross-checks page_reads_charged against the buffer
-  /// manager's miss-count delta — only executors call Access, so the two
-  /// must agree exactly.
+  /// manager's miss-count delta — only executors access pages through a
+  /// ledger, so the two must agree exactly.
   BOUQUET_CHARGED int64_t page_reads_charged = 0;
   BOUQUET_CHARGED int64_t page_hits_charged = 0;
+
+  /// The run's private accounting view of the buffer pool (BouquetDriver
+  /// forks one per run and hands it to every step). Null: accesses go to
+  /// the pool's shared base ledger.
+  storage::AccessLedger* ledger = nullptr;
+
+  /// One accounted page access through `ledger`, else through the pool's
+  /// base ledger. Returns hit (true) or miss (false).
+  bool AccessPage(storage::BufferManager* pool, storage::PageId id) const {
+    return ledger != nullptr ? ledger->Access(id) : pool->Access(id);
+  }
 };
 
 }  // namespace bouquet

@@ -77,7 +77,7 @@ class SeqScanOp : public Operator {
           // fits the budget (the meter records the overshoot either way).
           guard_ = storage::PageGuard();
           const storage::PageId pid{paged_->file_id(), pg};
-          const bool hit = paged_->buffer()->Access(pid);
+          const bool hit = ctx_->AccessPage(paged_->buffer(), pid);
           if (hit) {
             ctx_->page_hits_charged++;
           } else {
@@ -182,7 +182,7 @@ class IndexScanOp : public Operator {
       const uint32_t r = matches_[next_];
       if (paged_ != nullptr) {
         const storage::PageId pid = paged_->PageIdOfRow(r);
-        const bool hit = paged_->buffer()->Access(pid);
+        const bool hit = ctx_->AccessPage(paged_->buffer(), pid);
         if (hit) {
           ctx_->page_hits_charged++;
         } else {
@@ -581,7 +581,7 @@ class IndexNLJoinOp : public Operator {
         const uint32_t r = (*matches_)[match_pos_];
         if (paged_ != nullptr) {
           const storage::PageId pid = paged_->PageIdOfRow(r);
-          const bool hit = paged_->buffer()->Access(pid);
+          const bool hit = ctx_->AccessPage(paged_->buffer(), pid);
           if (hit) {
             ctx_->page_hits_charged++;
           } else {

@@ -288,7 +288,7 @@ Result<uint16_t> StorageManager::CreateSpillFile() {
       StrPrintf("%s/spill_%llu.tmp", options_.data_dir.c_str(),
                 static_cast<unsigned long long>(seq)));
   if (!created.ok()) return created.status();
-  // Lock order: the pool's mutex and mu_ are taken in disjoint regions
+  // Lock order: the pool's locks and mu_ are taken in disjoint regions
   // (never nested) so spill churn cannot invert against DropFile.
   const uint16_t id = buffer_.RegisterFile(created.value().get());
   {
@@ -305,7 +305,8 @@ PageFile* StorageManager::spill_file(uint16_t file_id) const {
 }
 
 void StorageManager::DropSpillFile(uint16_t file_id) {
-  buffer_.DropFile(file_id);
+  // Leave the segment map before the pool releases the id: the pool reuses
+  // the ids of dropped files, so a spill created meanwhile may get it.
   std::unique_ptr<PageFile> file;
   {
     MutexLock lock(&mu_);
@@ -314,6 +315,7 @@ void StorageManager::DropSpillFile(uint16_t file_id) {
     file = std::move(it->second);
     spill_files_.erase(it);
   }
+  buffer_.DropFile(file_id);
   // Temp spill segment teardown on a destructor-reachable path; a failed
   // unlink leaks a dead file in data_dir but cannot corrupt table state.
   // NOLINTNEXTLINE(bouquet-discarded-status): best-effort temp cleanup

@@ -15,10 +15,11 @@
 // keeps a zero-row schema "shell" DataTable alongside so every existing
 // column-binding path works unchanged. Data access goes through
 // BufferManager::Pin; *accounting* (what the cost meter charges) goes
-// through BufferManager::Access — see buffer_manager.h for why the two are
-// decoupled. Maintenance reads (index builds, catalog stats) use
-// ReadColumn, which pins pages transiently and never calls Access, so bulk
-// work cannot pollute the replacement state.
+// through an AccessLedger — the run's private one, or the pool's base
+// ledger via BufferManager::Access — see buffer_manager.h for why the two
+// are decoupled. Maintenance reads (index builds, catalog stats) use
+// ReadColumn, which pins pages transiently and never touches a ledger, so
+// bulk work cannot pollute the replacement state.
 
 #ifndef BOUQUET_STORAGE_PAGED_TABLE_H_
 #define BOUQUET_STORAGE_PAGED_TABLE_H_
@@ -161,10 +162,12 @@ class StorageManager {
 };
 
 /// Materializes rows into spill temp pages through the buffer pool. Pages
-/// are written via PinNew (dirty frames, written back at unpin) and the
-/// whole segment is deleted when the writer dies — the physical half of
-/// the paper's spill-mode partial executions, with zero accounting impact
-/// (jettisoned output is priced by the operators, not the disk).
+/// are written via PinNew (dirty frames that stay cached, written back
+/// only if the pool evicts them) and the whole segment — cached frames
+/// included, without writeback — is deleted when the writer dies: the
+/// physical half of the paper's spill-mode partial executions, with zero
+/// accounting impact (jettisoned output is priced by the operators, not
+/// the disk).
 class SpillWriter {
  public:
   SpillWriter(StorageManager* sm, size_t num_columns);

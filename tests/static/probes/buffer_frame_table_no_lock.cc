@@ -1,7 +1,8 @@
-// NEGATIVE probe: touches a buffer-manager-style frame table without the
-// pool mutex, modeled on src/storage/buffer_manager.h (frames_, the policy
-// state, and the stats block share one capability-annotated Mutex; a frame
-// lookup outside it races eviction freeing the frame under the reader).
+// NEGATIVE probe: touches a buffer-manager-style frame table without its
+// mutex, modeled on a shard of src/storage/buffer_manager.h (a shard's
+// frame table, CLOCK ring and physical counters share the shard's
+// capability-annotated Mutex; a frame lookup outside it races eviction
+// reusing the frame under the reader).
 //
 // Under enforcement (Clang + -Werror=thread-safety) this file MUST NOT
 // compile — if it does, the thread-safety gate has silently rotted (see

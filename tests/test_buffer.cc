@@ -8,7 +8,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <latch>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "storage/buffer_manager.h"
@@ -267,10 +269,26 @@ TEST_F(PinnedFixture, PinRefcountsAndReclaim) {
     }
     EXPECT_EQ(bm.stats().pinned_frames, 1u);  // still pinned by g1
   }
-  // Never Access()ed -> not resident -> reclaimed at last unpin.
+  // Unpinned frames stay cached until the physical CLOCK needs them:
+  // frames <= pool_pages + pinned.
   EXPECT_EQ(bm.stats().pinned_frames, 0u);
-  EXPECT_EQ(bm.physical_frames(), 0u);
+  EXPECT_EQ(bm.physical_frames(), 1u);
+  EXPECT_LE(bm.physical_frames(), bm.pool_pages());
   EXPECT_EQ(bm.stats().pinned_peak, 1u);
+}
+
+// The batch engine pins a page before its replay accounts for it. A cold
+// page pinned, unpinned, accounted and pinned again with no eviction in
+// between must come from disk exactly once.
+TEST_F(PinnedFixture, RepinWithoutEvictionReadsOnce) {
+  BufferManager bm(4, EvictionPolicyKind::k2Q);
+  const uint16_t fid = bm.RegisterFile(file_.get());
+  const PageId id{fid, 2};
+  { PageGuard g = bm.Pin(id); ASSERT_TRUE(g.valid()); }
+  EXPECT_FALSE(bm.Access(id));  // accounting miss, after the pin
+  { PageGuard g = bm.Pin(id); ASSERT_TRUE(g.valid()); }
+  { PageGuard g = bm.Pin(id); ASSERT_TRUE(g.valid()); }
+  EXPECT_EQ(bm.stats().physical_reads, 1u);
 }
 
 TEST_F(PinnedFixture, AccessedPageStaysResidentAfterUnpin) {
@@ -305,7 +323,7 @@ TEST_F(PinnedFixture, AllPinnedStarvationOvershootsPool) {
   EXPECT_EQ(bm.stats().pinned_frames, 0u);
 }
 
-TEST_F(PinnedFixture, DirtyZombieWritesBackAtLastUnpin) {
+TEST_F(PinnedFixture, DirtyFrameWritesBackWhenEvicted) {
   BufferManager bm(1, EvictionPolicyKind::kLru);
   const uint16_t fid = bm.RegisterFile(file_.get());
   const PageId a{fid, 0};
@@ -313,16 +331,21 @@ TEST_F(PinnedFixture, DirtyZombieWritesBackAtLastUnpin) {
   PageGuard g = bm.Pin(a);
   ASSERT_TRUE(g.valid());
   g.mutable_data()[100] = 0x5A;
-  // Evict `a` while pinned (pool of 1, new page admitted): zombie.
+  // Accounting evicts `a` (pool of 1, new page admitted); the frame is
+  // physical and stays.
   bm.Access(PageId{fid, 1});
   EXPECT_EQ(bm.stats().evictions, 1u);
   EXPECT_EQ(bm.stats().writebacks, 0u);  // deferred: still pinned
   g.Release();
+  EXPECT_EQ(bm.stats().writebacks, 0u);  // unpinned dirty frames stay cached
+  // Faulting another page into the one-frame pool evicts `a`'s frame.
+  { PageGuard other = bm.Pin(PageId{fid, 1}); ASSERT_TRUE(other.valid()); }
   EXPECT_EQ(bm.stats().writebacks, 1u);
   // The bytes are durable: a fresh fault sees them.
   PageGuard g2 = bm.Pin(a);
   ASSERT_TRUE(g2.valid());
   EXPECT_EQ(g2.data()[100], 0x5A);
+  EXPECT_EQ(bm.stats().physical_reads, 3u);
 }
 
 TEST_F(PinnedFixture, FailedWritebackCountsWriteErrors) {
@@ -343,13 +366,114 @@ TEST_F(PinnedFixture, FailedWritebackCountsWriteErrors) {
     g.mutable_data()[7] = 0x42;
   }
   ASSERT_TRUE(file_->CloseAndRemove().ok());  // fd now invalid
-  // Evict the dirty resident frame: writeback runs and fails.
   bm.Access(PageId{fid, 1});
   EXPECT_EQ(bm.stats().evictions, 1u);
+  // Evict the dirty frame: writeback runs and fails (and so does the read
+  // of the page that needed the frame).
+  PageGuard b = bm.Pin(PageId{fid, 1});
+  EXPECT_FALSE(b.valid());
   EXPECT_EQ(bm.stats().writebacks, 1u);  // attempted...
   EXPECT_EQ(bm.stats().write_errors, 1u);  // ...and recorded as lost
   EXPECT_EQ(
       metrics.GetCounter("buffer_write_errors_total", "")->value(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Physical layer under concurrency: I/O runs outside the shard locks
+// ---------------------------------------------------------------------------
+
+TEST_F(PinnedFixture, ConcurrentPinsOfOneMissingPageReadItOnce) {
+  uint8_t page[kPageSize] = {};
+  page[17] = 0x77;
+  ASSERT_TRUE(file_->WritePage(5, page).ok());
+  constexpr int kThreads = 8;
+  for (int round = 0; round < 20; ++round) {
+    BufferManager bm(4, EvictionPolicyKind::k2Q);
+    const uint16_t fid = bm.RegisterFile(file_.get());
+    std::latch start(kThreads), pinned(kThreads);
+    std::vector<const uint8_t*> seen(kThreads, nullptr);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        PageGuard g = bm.Pin(PageId{fid, 5});
+        if (g.valid() && g.data()[17] == 0x77) seen[t] = g.data();
+        pinned.arrive_and_wait();  // every pin overlaps every other
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    EXPECT_EQ(bm.stats().physical_reads, 1u) << "round " << round;
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_NE(seen[t], nullptr) << t;
+      EXPECT_EQ(seen[t], seen[0]) << t;  // one frame
+    }
+    EXPECT_EQ(bm.stats().pinned_frames, 0u);
+  }
+}
+
+// A one-frame pool: pinning page b evicts page a's dirty frame, and the
+// writeback runs unlocked while another thread re-pins a. Whichever way
+// the race goes — the re-pin waits for the writeback and reuses the frame,
+// or faults a afresh after it — it must see the written bytes.
+TEST_F(PinnedFixture, RepinDuringDirtyWritebackSeesWrittenBytes) {
+  BufferManager bm(1, EvictionPolicyKind::kLru);
+  const uint16_t fid = bm.RegisterFile(file_.get());
+  const PageId a{fid, 0};
+  const PageId b{fid, 1};
+  for (int round = 1; round <= 300; ++round) {
+    const uint8_t v = static_cast<uint8_t>(round);
+    {
+      PageGuard g = bm.Pin(a);
+      ASSERT_TRUE(g.valid());
+      g.mutable_data()[100] = v;
+    }
+    std::latch start(2);
+    uint8_t seen = 0;
+    std::thread evictor([&] {
+      start.arrive_and_wait();
+      PageGuard g = bm.Pin(b);
+      EXPECT_TRUE(g.valid());
+    });
+    std::thread repinner([&] {
+      start.arrive_and_wait();
+      PageGuard g = bm.Pin(a);
+      if (g.valid()) seen = g.data()[100];
+    });
+    evictor.join();
+    repinner.join();
+    ASSERT_EQ(seen, v) << "round " << round;
+  }
+  EXPECT_GT(bm.stats().writebacks, 0u);
+  EXPECT_EQ(bm.stats().write_errors, 0u);
+  EXPECT_LE(bm.physical_frames(), bm.pool_pages());
+}
+
+TEST_F(PinnedFixture, ConcurrentStarvationOvershootIsReclaimed) {
+  // Six threads hold six distinct pages of a two-page pool at once: Pin
+  // never blocks on capacity, the pool overshoots, and the last unpins
+  // bring it back within its share.
+  BufferManager bm(2, EvictionPolicyKind::kLru);
+  const uint16_t fid = bm.RegisterFile(file_.get());
+  constexpr int kThreads = 6;
+  std::latch all_pinned(kThreads + 1), release(1);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      PageGuard g = bm.Pin(PageId{fid, static_cast<uint32_t>(t)});
+      EXPECT_TRUE(g.valid());
+      all_pinned.count_down();
+      release.wait();
+    });
+  }
+  all_pinned.arrive_and_wait();
+  EXPECT_EQ(bm.physical_frames(), static_cast<size_t>(kThreads));
+  EXPECT_GT(bm.physical_frames(), bm.pool_pages());
+  EXPECT_EQ(bm.stats().pinned_frames, static_cast<uint64_t>(kThreads));
+  release.count_down();
+  for (std::thread& th : threads) th.join();
+  EXPECT_LE(bm.physical_frames(), bm.pool_pages());
+  EXPECT_EQ(bm.stats().pinned_frames, 0u);
+  EXPECT_EQ(bm.stats().pinned_peak, static_cast<uint64_t>(kThreads));
 }
 
 // ---------------------------------------------------------------------------
@@ -370,6 +494,48 @@ TEST(SpillWriterTest, WritesPagesAndRemovesSegmentOnDeath) {
   }
   // Writer death dropped the segment (and its frames).
   EXPECT_EQ(sm.buffer()->physical_frames(), 0u);
+}
+
+// Dirty temp frames stay cached until evicted, and dropping the segment
+// discards them: a segment that fits in the pool never reaches the disk.
+TEST(SpillWriterTest, SegmentSmallerThanPoolIsDroppedWithoutWriteback) {
+  const std::string dir = TempPath("spill_small");
+  StorageManager sm({dir, 64, EvictionPolicyKind::k2Q});
+  {
+    SpillWriter w(&sm, 3);
+    ASSERT_TRUE(w.ok());
+    for (int64_t i = 0; i < 3000; ++i) w.Append({i, i + 1, i + 2});
+    EXPECT_GT(w.pages_written(), 1u);
+    EXPECT_LT(w.pages_written(), 64u);
+  }
+  const BufferStats s = sm.buffer()->stats();
+  EXPECT_EQ(s.writebacks, 0u);
+  EXPECT_EQ(s.physical_writes, 0u);
+  EXPECT_EQ(sm.buffer()->physical_frames(), 0u);
+}
+
+// Spill segments come and go on many threads at once, and the pool reuses
+// the ids of dropped files: a segment dropped on one thread must never
+// take down one just created under its old id on another.
+TEST(SpillWriterTest, ConcurrentSegmentsReuseFileIds) {
+  const std::string dir = TempPath("spill_concurrent");
+  StorageManager sm({dir, 8, EvictionPolicyKind::k2Q});
+  constexpr int kThreads = 4;
+  std::vector<std::thread> threads;
+  std::vector<int> short_writes(kThreads, 0);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 1000; ++round) {
+        SpillWriter w(&sm, 2);
+        for (int64_t i = 0; i < 600; ++i) w.Append({i, t});
+        if (!w.ok() || w.rows_written() != 600) short_writes[t]++;
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(short_writes[t], 0) << t;
+  EXPECT_EQ(sm.buffer()->physical_frames(), 0u);
+  EXPECT_EQ(sm.buffer()->stats().pinned_frames, 0u);
 }
 
 TEST(SpillWriterTest, SpillNeverTouchesAccountingStats) {

@@ -501,6 +501,97 @@ TEST(ServiceRealDataTest, ConcurrentDriverExecutions) {
   EXPECT_EQ(service.cache().size(), 1u);
 }
 
+// ROADMAP aim 3: a request's charges depend only on (query, location, data,
+// config). Four concurrent copies of one real-data request, served beside
+// other bindings on a paged database whose pool is smaller than the data,
+// must each produce the step sequence of a serial run — same contours,
+// plans, budgets, bit-equal charges, completion, and page reads and hits.
+// (With one shared accounting state, neighbours' accesses turned hits into
+// misses and moved abort points.)
+TEST(ServiceRealDataTest, ConcurrentPagedCopiesChargeLikeASerialRun) {
+  Database mem;
+  TpchDataOptions data_opts;
+  data_opts.mini_scale = 0.1;
+  MakeTpchDatabase(&mem, data_opts);
+  Catalog catalog;
+  SyncTpchCatalog(mem, &catalog);
+  const QuerySpec form = Make2DHQ8a(catalog);
+
+  storage::StorageOptions sopts;
+  sopts.data_dir = ::testing::TempDir() + "/service_paged_copies";
+  sopts.pool_pages = 16;
+  sopts.policy = storage::EvictionPolicyKind::k2Q;
+  storage::StorageManager sm(sopts);
+  uint32_t data_pages = 0;
+  for (const std::string& t : form.tables) {
+    auto imported = sm.ImportTable(mem.table(t));
+    ASSERT_TRUE(imported.ok()) << t << ": " << imported.status().ToString();
+    data_pages += imported.value()->num_data_pages();
+  }
+  ASSERT_GT(data_pages, 2 * sopts.pool_pages);
+  Database db;
+  db.AttachStorage(&sm);
+
+  ServiceOptions opts;
+  opts.num_threads = 4;
+  opts.grid_resolution = 10;
+  opts.min_shard_points = 1;
+  opts.database = &db;
+  BouquetService service(catalog, opts);
+
+  auto request = [&](double s0, double s1) {
+    ServiceRequest req;
+    req.query = form;
+    BindSelectionConstants(&req.query, catalog, {s0, s1});
+    req.mode = ExecutionMode::kRealData;
+    return req;
+  };
+  auto serial = service.Run(request(0.337, 0.456));
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  const std::vector<DriverStep>& want = serial->real.steps;
+  ASSERT_TRUE(serial->real.completed);
+  ASSERT_GT(serial->real.page_reads, 0);
+  ASSERT_GT(serial->real.page_hits, 0);
+
+  const double others[][2] = {{0.05, 0.3}, {0.7, 0.6}, {0.9, 0.02}};
+  std::vector<std::future<Result<ServiceResult>>> copies, rest;
+  for (int round = 0; round < 4; ++round) {
+    copies.push_back(service.Submit(request(0.337, 0.456)));
+    if (round < 3) {
+      rest.push_back(service.Submit(request(others[round][0],
+                                            others[round][1])));
+    }
+  }
+  for (auto& f : copies) {
+    auto res = f.get();
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    const std::vector<DriverStep>& got = res->real.steps;
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].contour, want[i].contour) << "step " << i;
+      EXPECT_EQ(got[i].plan_id, want[i].plan_id) << i;
+      EXPECT_EQ(got[i].plan_signature, want[i].plan_signature) << i;
+      EXPECT_EQ(got[i].budget, want[i].budget) << i;
+      EXPECT_EQ(got[i].charged, want[i].charged) << i;  // bit-equal
+      EXPECT_EQ(got[i].completed, want[i].completed) << i;
+      EXPECT_EQ(got[i].spilled, want[i].spilled) << i;
+      EXPECT_EQ(got[i].page_reads, want[i].page_reads) << i;
+      EXPECT_EQ(got[i].page_hits, want[i].page_hits) << i;
+    }
+    EXPECT_EQ(res->real.total_cost_units, serial->real.total_cost_units);
+  }
+  for (auto& f : rest) {
+    auto res = f.get();
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    EXPECT_TRUE(res->real.completed);
+  }
+  // Every run's counts were folded into the pool's stats.
+  const storage::BufferStats st = sm.buffer()->stats();
+  EXPECT_GT(st.misses, 0u);
+  EXPECT_GT(st.hits, 0u);
+  EXPECT_EQ(st.pinned_frames, 0u);
+}
+
 // Regression: a real-data run that exhausts every contour budget used to
 // finish through the driver's safety net without being counted, so
 // ServiceStats::fallbacks and bouquet_fallbacks_total saw simulated
