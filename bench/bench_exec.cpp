@@ -7,7 +7,15 @@
 //          pairs (eight range predicates, wide ones first, combined
 //          selectivity ~1.2%);
 //   join — hash join with a filtered orders probe side and the full
-//          lineitem table as the build side (build-heavy).
+//          lineitem table as the build side (build-heavy);
+//   pipeline — a left-deep three-join plan over paged storage (a warm pool
+//          holding every page): a filtered lineitem scan probes a hash join
+//          on orders, then an index-NL join on customer and a material-NL
+//          join on nation. Every root row's charges splice through three
+//          levels of input tapes, so this is the shape where tape cost
+//          would grow with depth. It also reports tape_bytes_per_row: the
+//          batch run's metering-tape bytes (the exec.batch span's
+//          tape_bytes) per lineitem input row.
 //
 // Scalar and batch reps are interleaved and each side takes its best
 // time, so a noisy neighbor inflates both engines alike rather than
@@ -16,8 +24,9 @@
 // Default mode prints the reproduction-style report with a batch-size
 // sweep. `--smoke [out.json]` runs the same measurement with CI-sized
 // repetitions and writes BENCH_exec.json for scripts/check_exec_smoke.py,
-// which gates the single-thread scan/join speedup floors and the
-// charged-cost bit-equality between engines.
+// which gates the single-thread speedup floors and the charged-cost
+// bit-equality between engines. `--data-dir DIR` places the pipeline's page
+// files (default /tmp/bouquet_bench_exec).
 
 #include <algorithm>
 #include <chrono>
@@ -30,10 +39,30 @@
 
 #include "executor/batch.h"
 #include "executor/builder.h"
+#include "obs/trace.h"
+#include "storage/paged_table.h"
 #include "workloads/tpch.h"
 
 namespace bouquet {
 namespace {
+
+PlanNodeRef ScanNode(int table, std::vector<int> filters = {}) {
+  auto n = std::make_shared<PlanNode>();
+  n->op = OpType::kSeqScan;
+  n->table_idx = table;
+  n->filter_idxs = std::move(filters);
+  return n;
+}
+
+std::shared_ptr<PlanNode> JoinNode(OpType op, PlanNodeRef left,
+                                   PlanNodeRef right, int join_idx) {
+  auto n = std::make_shared<PlanNode>();
+  n->op = op;
+  n->left = std::move(left);
+  n->right = std::move(right);
+  n->join_idxs = {join_idx};
+  return n;
+}
 
 struct ExecBench {
   Database db;
@@ -43,6 +72,11 @@ struct ExecBench {
   PlanNodeRef scan_plan;
   PlanNodeRef join_plan;
   int64_t lineitem_rows = 0;
+  // Pipeline shape over paged copies of its four tables.
+  QuerySpec pipe_query;
+  std::unique_ptr<storage::StorageManager> sm;
+  Database paged_db;
+  PlanNodeRef pipe_plan;
 
   void Build(double mini_scale) {
     TpchDataOptions opts;
@@ -76,32 +110,45 @@ struct ExecBench {
                            -1.0}};
     cm = std::make_unique<CostModel>(CostParams::Postgres());
 
-    auto scan = std::make_shared<PlanNode>();
-    scan->op = OpType::kSeqScan;
-    scan->table_idx = 1;  // lineitem
-    scan->filter_idxs = {0, 1, 2, 3, 4, 5, 6, 7};
-    scan_plan = scan;
-
-    auto probe = std::make_shared<PlanNode>();
-    probe->op = OpType::kSeqScan;
-    probe->table_idx = 0;  // orders (filtered probe side)
-    probe->filter_idxs = {8};
-    auto build = std::make_shared<PlanNode>();
-    build->op = OpType::kSeqScan;
-    build->table_idx = 1;  // lineitem (build side)
-    auto join = std::make_shared<PlanNode>();
-    join->op = OpType::kHashJoin;
-    join->left = probe;
-    join->right = build;
-    join->join_idxs = {0};
-    join_plan = join;
+    scan_plan = ScanNode(1, {0, 1, 2, 3, 4, 5, 6, 7});  // lineitem
+    // Filtered orders probe side, full lineitem build side.
+    join_plan = JoinNode(OpType::kHashJoin, ScanNode(0, {8}), ScanNode(1), 0);
   }
 
-  ExecContext MakeContext(int batch_size) const {
+  // Imports the pipeline's tables into `data_dir` behind a pool that holds
+  // every page, so the measurement is the engines, not disk I/O.
+  void BuildPipeline(const std::string& data_dir) {
+    pipe_query.name = "exec_bench_pipeline";
+    pipe_query.tables = {"lineitem", "orders", "customer", "nation"};
+    pipe_query.joins = {
+        JoinPredicate{"lineitem", "l_orderkey", "orders", "o_orderkey", -1.0},
+        JoinPredicate{"orders", "o_custkey", "customer", "c_custkey", -1.0},
+        JoinPredicate{"customer", "c_nationkey", "nation", "n_nationkey",
+                      -1.0}};
+    pipe_query.filters = {SelectionPredicate{"lineitem", "l_quantity",
+                                             CompareOp::kLess, 5, -1.0}};
+    sm = std::make_unique<storage::StorageManager>(storage::StorageOptions{
+        data_dir, /*pool_pages=*/4096, storage::EvictionPolicyKind::k2Q});
+    for (const std::string& t : pipe_query.tables) {
+      auto imported = sm->ImportTable(db.table(t));
+      if (!imported.ok()) {
+        std::fprintf(stderr, "import %s: %s\n", t.c_str(),
+                     imported.status().ToString().c_str());
+        std::exit(1);
+      }
+    }
+    paged_db.AttachStorage(sm.get());
+    auto hash = JoinNode(OpType::kHashJoin, ScanNode(0, {0}), ScanNode(1), 0);
+    auto inl = JoinNode(OpType::kIndexNLJoin, hash, ScanNode(2), 1);
+    inl->index_join = 1;
+    pipe_plan = JoinNode(OpType::kMaterialNLJoin, inl, ScanNode(3), 2);
+  }
+
+  ExecContext MakeContext(int batch_size, bool pipeline = false) const {
     ExecContext ctx;
-    ctx.query = &query;
+    ctx.query = pipeline ? &pipe_query : &query;
     ctx.catalog = &catalog;
-    ctx.db = const_cast<Database*>(&db);
+    ctx.db = const_cast<Database*>(pipeline ? &paged_db : &db);
     ctx.cost_model = cm.get();
     ctx.batch_size = batch_size;
     return ctx;
@@ -123,14 +170,14 @@ struct Comparison {
 };
 
 Comparison Compare(const ExecBench& bench, const PlanNode& plan,
-                   int batch_size, int reps) {
+                   int batch_size, int reps, bool pipeline = false) {
   Comparison c;
   c.scalar.seconds = std::numeric_limits<double>::infinity();
   c.batch.seconds = std::numeric_limits<double>::infinity();
   for (int i = 0; i <= reps; ++i) {  // rep 0 is the warmup (index builds)
     for (const ExecEngine engine : {ExecEngine::kScalar, ExecEngine::kBatch}) {
       Measurement& m = engine == ExecEngine::kScalar ? c.scalar : c.batch;
-      ExecContext ctx = bench.MakeContext(batch_size);
+      ExecContext ctx = bench.MakeContext(batch_size, pipeline);
       const auto t0 = std::chrono::steady_clock::now();
       const ExecutionOutcome out = ExecutePlanWith(
           engine, plan, &ctx, std::numeric_limits<double>::infinity(),
@@ -149,6 +196,23 @@ Comparison Compare(const ExecBench& bench, const PlanNode& plan,
   return c;
 }
 
+// Metering-tape bytes of one unbudgeted batch run, read off its exec.batch
+// span.
+double TapeBytes(const ExecBench& bench, const PlanNode& plan,
+                 int batch_size) {
+  obs::Tracer tracer(1 << 10);
+  ExecContext ctx = bench.MakeContext(batch_size, /*pipeline=*/true);
+  ctx.tracer = &tracer;
+  ExecutePlanBatch(plan, &ctx, std::numeric_limits<double>::infinity());
+  for (const obs::TraceEvent& ev : tracer.Snapshot()) {
+    if (ev.name != "exec.batch") continue;
+    for (const auto& [key, value] : ev.num_attrs) {
+      if (key == "tape_bytes") return value;
+    }
+  }
+  return 0.0;
+}
+
 void PrintComparison(const char* name, const ExecBench& bench,
                      const Comparison& c) {
   const double rows = static_cast<double>(bench.lineitem_rows);
@@ -161,12 +225,13 @@ void PrintComparison(const char* name, const ExecBench& bench,
               c.charged_equal ? "bit-equal" : "DIVERGED");
 }
 
-void PrintReproduction() {
+void PrintReproduction(const std::string& data_dir) {
   std::printf("Vectorized batch executor vs scalar Volcano oracle\n");
   std::printf("(TPC-H mini, single thread; rows/s normalized to lineitem "
               "input rows)\n\n");
   ExecBench bench;
   bench.Build(/*mini_scale=*/2.0);
+  bench.BuildPipeline(data_dir);
   std::printf("  lineitem %lld rows, orders %lld rows\n\n",
               static_cast<long long>(bench.lineitem_rows),
               static_cast<long long>(bench.db.table("orders").num_rows()));
@@ -174,6 +239,11 @@ void PrintReproduction() {
                   Compare(bench, *bench.scan_plan, 1024, 9));
   PrintComparison("hash join", bench,
                   Compare(bench, *bench.join_plan, 1024, 9));
+  PrintComparison("3-join pipeline", bench,
+                  Compare(bench, *bench.pipe_plan, 1024, 9, true));
+  std::printf("  pipeline metering tape: %.1f bytes per lineitem row\n",
+              TapeBytes(bench, *bench.pipe_plan, 1024) /
+                  static_cast<double>(bench.lineitem_rows));
   std::printf("\n  batch-size sweep (hash join):\n");
   for (const int bsz : {64, 256, 1024, 4096}) {
     const Comparison c = Compare(bench, *bench.join_plan, bsz, 3);
@@ -184,20 +254,29 @@ void PrintReproduction() {
   }
 }
 
-int RunSmoke(const char* out_path) {
+int RunSmoke(const char* out_path, const std::string& data_dir) {
   ExecBench bench;
   bench.Build(/*mini_scale=*/2.0);
+  bench.BuildPipeline(data_dir);
   const Comparison scan = Compare(bench, *bench.scan_plan, 1024, 9);
   const Comparison join = Compare(bench, *bench.join_plan, 1024, 9);
+  const Comparison pipe = Compare(bench, *bench.pipe_plan, 1024, 9, true);
+  const double tape_bytes_per_row =
+      TapeBytes(bench, *bench.pipe_plan, 1024) /
+      static_cast<double>(bench.lineitem_rows);
   PrintComparison("filtered scan", bench, scan);
   PrintComparison("hash join", bench, join);
+  PrintComparison("3-join pipeline", bench, pipe);
+  std::printf("  pipeline metering tape: %.1f bytes per lineitem row\n",
+              tape_bytes_per_row);
 
   std::FILE* f = std::fopen(out_path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", out_path);
     return 1;
   }
-  auto section = [&](const char* name, const Comparison& c, bool last) {
+  auto section = [&](const char* name, const Comparison& c,
+                     const double* tape_per_row) {
     std::fprintf(f, "  \"%s\": {\n", name);
     std::fprintf(f, "    \"input_rows\": %lld,\n",
                  static_cast<long long>(bench.lineitem_rows));
@@ -212,14 +291,19 @@ int RunSmoke(const char* out_path) {
     std::fprintf(f, "    \"speedup\": %.3f,\n", c.speedup);
     std::fprintf(f, "    \"charged_bit_equal\": %s,\n",
                  c.charged_equal ? "true" : "false");
-    std::fprintf(f, "    \"rows_equal\": %s\n",
-                 c.rows_equal ? "true" : "false");
-    std::fprintf(f, "  }%s\n", last ? "" : ",");
+    std::fprintf(f, "    \"rows_equal\": %s", c.rows_equal ? "true" : "false");
+    if (tape_per_row != nullptr) {
+      std::fprintf(f, ",\n    \"tape_bytes_per_row\": %.3f", *tape_per_row);
+    }
+    std::fprintf(f, "\n  }");
   };
   std::fprintf(f, "{\n");
-  section("scan", scan, /*last=*/false);
-  section("join", join, /*last=*/true);
-  std::fprintf(f, "}\n");
+  section("scan", scan, nullptr);
+  std::fprintf(f, ",\n");
+  section("join", join, nullptr);
+  std::fprintf(f, ",\n");
+  section("pipeline", pipe, &tape_bytes_per_row);
+  std::fprintf(f, "\n}\n");
   std::fclose(f);
   std::printf("exec-smoke: wrote %s\n", out_path);
   return 0;
@@ -229,12 +313,17 @@ int RunSmoke(const char* out_path) {
 }  // namespace bouquet
 
 int main(int argc, char** argv) {
+  std::string data_dir = "/tmp/bouquet_bench_exec";
+  const char* smoke_out = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
-      const char* out = i + 1 < argc ? argv[i + 1] : "BENCH_exec.json";
-      return bouquet::RunSmoke(out);
+      smoke_out = i + 1 < argc && argv[i + 1][0] != '-' ? argv[++i]
+                                                          : "BENCH_exec.json";
+    } else if (std::strcmp(argv[i], "--data-dir") == 0 && i + 1 < argc) {
+      data_dir = argv[++i];
     }
   }
-  bouquet::PrintReproduction();
+  if (smoke_out != nullptr) return bouquet::RunSmoke(smoke_out, data_dir);
+  bouquet::PrintReproduction(data_dir);
   return 0;
 }

@@ -3,7 +3,7 @@
 
 Compares the BENCH_exec.json emitted by `bench_exec --smoke` against the
 recorded baseline (bench/baselines/exec_smoke.json). Gated invariants,
-per section ("scan" and "join"):
+per section ("scan", "join" and the three-join paged "pipeline"):
 
   - charged_bit_equal is true: the batch engine's final charged cost is
     bit-identical to the scalar oracle's (the metering-tape replay
@@ -13,7 +13,11 @@ per section ("scan" and "join"):
     deterministic, so any drift means an engine or generator change);
   - speedup meets a deliberately conservative floor (CI noise margin —
     this catches a vectorization collapse, not jitter; the reproduction
-    numbers in BENCH_exec.json at the repo root are the honest ones).
+    numbers in BENCH_exec.json at the repo root are the honest ones);
+  - where the baseline sets max_tape_bytes_per_row (pipeline), the
+    section's tape_bytes_per_row stays at or below it. The tape is a
+    deterministic function of data, plan and batch size, so this is an
+    exact check that tape volume did not start growing with plan depth.
 
 Usage: check_exec_smoke.py <BENCH_exec.json> [baseline.json]
 Exit code 0 on pass, 1 on regression or malformed input.
@@ -41,7 +45,11 @@ def main(argv):
         base = json.load(f)
 
     failures = []
-    for name in ("scan", "join"):
+    for name in ("scan", "join", "pipeline"):
+        if name not in bench or name not in base:
+            failures.append(f"{name}: section missing from the bench output "
+                            f"or the baseline")
+            continue
         sec = bench[name]
         floor = base[name]
         print(f"{name}: scalar {sec['scalar_seconds'] * 1e3:.2f}ms "
@@ -65,6 +73,11 @@ def main(argv):
                 f"{name}: speedup {sec['speedup']:.2f}x < floor "
                 f"{floor['min_speedup']}x — batch engine throughput "
                 f"collapsed")
+        max_tape = floor.get("max_tape_bytes_per_row")
+        if max_tape is not None and sec["tape_bytes_per_row"] > max_tape:
+            failures.append(
+                f"{name}: tape_bytes_per_row {sec['tape_bytes_per_row']:.1f} "
+                f"> {max_tape} — metering tape grew")
 
     for msg in failures:
         print(f"FAIL: {msg}", file=sys.stderr)

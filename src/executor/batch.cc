@@ -29,149 +29,136 @@ void BatchExecState::SetBuffer(storage::BufferManager* bm) {
   page_rand_cost_ = p.random_page_cost;
 }
 
-bool BatchExecState::Replay(const std::vector<MeterEvent>& events,
-                            uint16_t root_slot, int64_t* root_emits) {
+bool BatchExecState::Replay(const Tape& tape, int64_t* emitted) {
   if (aborted_) return false;
+  cursors_.clear();
+  for (const Tape* t = &tape; t != nullptr; t = t->input()) {
+    const MeterEvent* ev = t->events().data();
+    cursors_.push_back({ev, ev + t->size()});
+    tape_events += static_cast<int64_t>(t->size());
+  }
   CostMeter& meter = ctx_->meter;
-  // The dependent chain of one-unit adds is the replay hot path. Keep the
-  // accumulator and budget in locals so they live in registers across the
-  // whole tape: the counter stores below would otherwise force the compiler
-  // to reload the meter through ctx_ on every single add. One add per
-  // logical tuple, never a pre-summed bulk charge — double addition is
-  // order-sensitive and the scalar engine adds one unit at a time.
-  double charged = meter.charged();
-  const double budget = meter.budget();
-  if (budget == std::numeric_limits<double>::infinity()) {
-    return ReplayNoAbort(events, root_slot, root_emits, charged);
-  }
-  // Single fused loop body: every charge kind shares the per-unit add loop
-  // and differs only in which counter absorbs the completed units. The
-  // kFinish test is almost never taken; the counter branches follow the
-  // tape's short repeating kind pattern, so they predict well.
+  acc_ = meter.charged();
+  budget_ = meter.budget();
+  emit_unit_ = ctx_->cost_model->params().cpu_tuple_cost;
+  top_emits_ = 0;
+  const bool ok = budget_ == std::numeric_limits<double>::infinity()
+                      ? ReplayLevel<false>(0, -1)
+                      : ReplayLevel<true>(0, -1);
+  meter.RestoreCharged(acc_);
+  if (emitted != nullptr) *emitted += top_emits_;
+  if (!ok) aborted_ = true;
+  return ok;
+}
+
+// One add per logical tuple, never a pre-summed bulk charge — double
+// addition is order-sensitive and the scalar engine adds one unit at a time.
+// A splice descends one level and resumes that level's cursor where the
+// previous splice left it, so the adds happen in the scalar engine's
+// pipeline order. Without kCheck (infinite budget) no add can trip the
+// meter — units are finite, and even an accumulator that saturates to +inf
+// still satisfies acc <= budget — so the abort tests compile out and
+// counters absorb whole runs; the add sequence is unchanged.
+template <bool kCheck>
+bool BatchExecState::ReplayLevel(size_t level, int64_t rows) {
+  // Applies one add; false at a budget trip.
+  const auto add = [this](double unit) {
+    acc_ += unit;
+    return !kCheck || acc_ <= budget_;
+  };
+  Cursor& cur = cursors_[level];
   NodeCounters* const* ncs = nc_.data();
-  const PlanNode* const* nds = nodes_.data();
-  const MeterEvent* e = events.data();
-  const MeterEvent* const end = e + events.size();
-  for (; e != end; ++e) {
-    if (e->kind == EvKind::kFinish) {
-      ctx_->instr.FinishNode(nds[e->node]);
-      continue;
-    }
-    if (e->kind == EvKind::kPageSeq || e->kind == EvKind::kPageRand) {
-      // Replay-time accounting: the Access() here is the same deterministic
-      // replacement-state transition the scalar engine performs at access
-      // time, executed in the identical (scalar charge) order — so hit/miss
-      // outcomes, and therefore every subsequent add, match bit for bit.
-      const bool hit =
-          ctx_->AccessPage(buffer_, storage::PageId{e->file, e->page});
-      if (hit) {
-        ctx_->page_hits_charged++;
-      } else {
-        ctx_->page_reads_charged++;
+  while (cur.pos != cur.end) {
+    const MeterEvent& e = *cur.pos++;
+    switch (e.kind) {
+      case EvKind::kCharge:
+      case EvKind::kScan: {
+        const double unit = e.unit();
+        const uint32_t count = e.count;
+        double acc = acc_;
+        uint32_t done = 0;
+        if constexpr (kCheck) {
+          while (done < count) {
+            acc += unit;
+            if (!(acc <= budget_)) break;
+            ++done;
+          }
+        } else {
+          for (; done < count; ++done) acc += unit;
+        }
+        acc_ = acc;
+        if (e.kind == EvKind::kScan) {
+          assert(ncs[e.node] != nullptr && "charge before touch");
+          ncs[e.node]->AddScanned(done);
+        }
+        if (kCheck && done < count) return false;
+        break;
       }
-      charged += hit ? page_hit_cost_
-                     : (e->kind == EvKind::kPageSeq ? page_seq_cost_
-                                                    : page_rand_cost_);
-      if (!(charged <= budget)) {
-        meter.RestoreCharged(charged);
-        aborted_ = true;
-        return false;
+      case EvKind::kSpliceCharge:
+        assert(level + 1 < cursors_.size() && "splice without an input");
+        for (uint32_t i = 0; i < e.count; ++i) {
+          if (!ReplayLevel<kCheck>(level + 1, 1)) return false;
+          if (!add(e.unit())) return false;
+        }
+        break;
+      case EvKind::kSplice:
+        assert(level + 1 < cursors_.size() && "splice without an input");
+        if (!ReplayLevel<kCheck>(level + 1, e.count)) return false;
+        break;
+      case EvKind::kSpliceTail:
+        assert(level + 1 < cursors_.size() && "splice without an input");
+        if (!ReplayLevel<kCheck>(level + 1, -1)) return false;
+        break;
+      case EvKind::kPageSeq:
+      case EvKind::kPageRand: {
+        // Replay-time accounting: the Access() here is the same
+        // deterministic replacement-state transition the scalar engine
+        // performs at access time, executed in the identical (scalar
+        // charge) order — so hit/miss outcomes, and therefore every
+        // subsequent add, match bit for bit.
+        const storage::PageId pid{static_cast<uint16_t>(e.count),
+                                  static_cast<uint32_t>(e.arg)};
+        const bool hit = ctx_->AccessPage(buffer_, pid);
+        if (hit) {
+          ctx_->page_hits_charged++;
+        } else {
+          ctx_->page_reads_charged++;
+        }
+        if (!add(hit ? page_hit_cost_
+                     : (e.kind == EvKind::kPageSeq ? page_seq_cost_
+                                                   : page_rand_cost_))) {
+          return false;
+        }
+        break;
       }
-      continue;
+      case EvKind::kFinish:
+        ctx_->instr.FinishNode(nodes_[e.node]);
+        break;
     }
-    const double unit = e->unit;
-    const uint32_t count = e->count;
-    uint32_t done = 0;
-    while (done < count) {
-      charged += unit;
-      if (!(charged <= budget)) break;
-      ++done;
-    }
-    if (e->kind == EvKind::kChargeScan) {
-      assert(ncs[e->node] != nullptr && "charge before touch");
-      ncs[e->node]->AddScanned(done);
-    } else if (e->kind == EvKind::kChargeEmit) {
-      assert(ncs[e->node] != nullptr && "charge before touch");
-      ncs[e->node]->AddOut(done);
-      if (root_emits != nullptr && e->node == root_slot) *root_emits += done;
-    }
-    if (done < count) {
-      meter.RestoreCharged(charged);
-      aborted_ = true;
-      return false;
+    if (e.emit != 0) {
+      if (!add(emit_unit_)) return false;
+      assert(ncs[e.node] != nullptr && "emit before touch");
+      ncs[e.node]->AddOut(1);
+      if (level == 0) ++top_emits_;
+      if (--rows == 0) return true;
     }
   }
-  meter.RestoreCharged(charged);
+  assert(rows < 0 && "input tape ran out of row segments");
   return true;
 }
 
-// With an infinite budget no add can trip the meter (units are finite, and
-// even an accumulator that saturates to +inf still satisfies charged <=
-// budget), so the per-unit abort checks — whose variable trip counts cost a
-// branch mispredict per event — are dead. Counters absorb whole events, and
-// the unit values expand into a flat scratch array (branch-light broadcast
-// stores, overwrite slack below) consumed by one long dependent-add loop:
-// the exact same add sequence the event-by-event path performs, bit for bit.
-bool BatchExecState::ReplayNoAbort(const std::vector<MeterEvent>& events,
-                                   uint16_t root_slot, int64_t* root_emits,
-                                   double charged) {
-  NodeCounters* const* ncs = nc_.data();
-  const PlanNode* const* nds = nodes_.data();
-  size_t total = 0;
-  for (const MeterEvent& e : events) {
-    if (e.kind != EvKind::kFinish) total += e.count;
-  }
-  // Grow-only scratch (+8: broadcast stores may overshoot the tail). A
-  // plain resize would shrink and re-grow across calls, value-initializing
-  // the delta every time.
-  if (units_.size() < total + 8) units_.resize(total + 8);
-  double* u = units_.data();
-  size_t idx = 0;
-  for (const MeterEvent& e : events) {
-    if (e.kind == EvKind::kFinish) {
-      ctx_->instr.FinishNode(nds[e.node]);
-      continue;
-    }
-    if (e.kind == EvKind::kPageSeq || e.kind == EvKind::kPageRand) {
-      // Access() runs in event order here too; only the meter adds are
-      // deferred to the flat loop below, which walks u[] in the same order.
-      const bool hit =
-          ctx_->AccessPage(buffer_, storage::PageId{e.file, e.page});
-      if (hit) {
-        ctx_->page_hits_charged++;
-      } else {
-        ctx_->page_reads_charged++;
-      }
-      u[idx++] = hit ? page_hit_cost_
-                     : (e.kind == EvKind::kPageSeq ? page_seq_cost_
-                                                   : page_rand_cost_);
-      continue;
-    }
-    const double unit = e.unit;
-    const uint32_t count = e.count;
-    // Unconditional 8-wide stores; idx advances by the true count, so any
-    // overshoot lands in slack or is overwritten by the next event. Typical
-    // RLE runs are short, so the wide block keeps the loop trip count near
-    // one and the branch predictable.
-    for (uint32_t i = 0; i < count; i += 8) {
-      double* w = u + idx + i;
-      w[0] = w[1] = w[2] = w[3] = w[4] = w[5] = w[6] = w[7] = unit;
-    }
-    idx += count;
-    if (e.kind == EvKind::kChargeScan) {
-      assert(ncs[e.node] != nullptr && "charge before touch");
-      ncs[e.node]->AddScanned(count);
-    } else if (e.kind == EvKind::kChargeEmit) {
-      assert(ncs[e.node] != nullptr && "charge before touch");
-      ncs[e.node]->AddOut(count);
-      if (root_emits != nullptr && e.node == root_slot) *root_emits += count;
-    }
-  }
-  // One add per logical tuple, in tape order — never reassociated (no
-  // fast-math in this build) and never bulk-summed.
-  for (size_t k = 0; k < idx; ++k) charged += u[k];
-  ctx_->meter.RestoreCharged(charged);
-  return true;
+bool BatchOp::ReplayPhase(const ColumnBatch& in, double unit) {
+  phase_.Clear();
+  phase_.set_input(&in.tape);
+  phase_.SpliceRowCharge(slot_, unit, static_cast<uint32_t>(in.n));
+  phase_.SpliceTail(slot_);
+  return st_->Replay(phase_);
+}
+
+bool BatchOp::ReplayCharge(double unit) {
+  phase_.Clear();
+  phase_.Charge(slot_, unit);
+  return st_->Replay(phase_);
 }
 
 int BatchOp::FindColumn(int table_idx, int col_idx) const {
@@ -454,7 +441,6 @@ class BatchSeqScanOp : public BatchOp {
       st_->TouchSlot(slot_);
       touched_ = true;
     }
-    const auto& p = st_->ctx()->cost_model->params();
     const int bsz = std::max(1, st_->ctx()->batch_size);
     const int ncols = table_->num_columns();
     const int64_t nrows = nrows_;
@@ -526,21 +512,20 @@ class BatchSeqScanOp : public BatchOp {
         }
         m = SelFromPred(pred_.data(), chunk, sel_.data());
       }
-      // Events: one RLE run of per-row scan charges up to (and including)
-      // each surviving row, an emit charge per survivor, and a trailing run
+      // Events: one fused event per survivor (the RLE run of per-row scan
+      // charges up to and including it, then its emit), and a trailing run
       // for rows scanned after the last survivor.
       int32_t prev = -1;
       for (int k = 0; k < m; ++k) {
         const int32_t i = sel_[k];
-        out->tape.ChargeScan(slot_, per_row_charge_,
-                             static_cast<uint32_t>(i - prev));
-        out->tape.ChargeEmit(slot_, p.cpu_tuple_cost);
-        out->MarkRow();
+        out->tape.Scan(slot_, per_row_charge_,
+                       static_cast<uint32_t>(i - prev));
+        out->EmitRow(slot_);
         prev = i;
       }
       if (chunk - 1 > prev) {
-        out->tape.ChargeScan(slot_, per_row_charge_,
-                             static_cast<uint32_t>(chunk - 1 - prev));
+        out->tape.Scan(slot_, per_row_charge_,
+                       static_cast<uint32_t>(chunk - 1 - prev));
       }
       for (int c = 0; c < ncols; ++c) {
         const int64_t* src = col_ptr(c);
@@ -651,15 +636,13 @@ class BatchIndexScanOp : public BatchOp {
       int32_t prev = -1;
       for (int k = 0; k < m; ++k) {
         const int32_t i = sel_[k];
-        out->tape.ChargeScan(slot_, per_match_,
-                             static_cast<uint32_t>(i - prev));
-        out->tape.ChargeEmit(slot_, p.cpu_tuple_cost);
-        out->MarkRow();
+        out->tape.Scan(slot_, per_match_, static_cast<uint32_t>(i - prev));
+        out->EmitRow(slot_);
         prev = i;
       }
       if (chunk - 1 > prev) {
-        out->tape.ChargeScan(slot_, per_match_,
-                             static_cast<uint32_t>(chunk - 1 - prev));
+        out->tape.Scan(slot_, per_match_,
+                       static_cast<uint32_t>(chunk - 1 - prev));
       }
       for (int c = 0; c < ncols; ++c) {
         const int64_t* src = table_->column(c).data();
@@ -677,10 +660,9 @@ class BatchIndexScanOp : public BatchOp {
   // Paged storage walks matches one at a time: every match interleaves a
   // kPageRand event with its CPU charge, so the RLE runs of the in-memory
   // path degenerate to length 1 anyway and the row's values have to come
-  // out of a pinned page. Tape order per match — page event, ChargeScan,
-  // then ChargeEmit for survivors — mirrors the scalar charge order.
+  // out of a pinned page. Tape order per match — page event, scan charge,
+  // then the emit for survivors — mirrors the scalar charge order.
   ExecResult NextBatchPaged(ColumnBatch* out, int bsz, int ncols) {
-    const auto& p = st_->ctx()->cost_model->params();
     while (out->n < bsz) {
       if (next_ >= matches_.size()) {
         guard_ = storage::PageGuard();
@@ -690,7 +672,7 @@ class BatchIndexScanOp : public BatchOp {
       const uint32_t r = matches_[next_++];
       const storage::PageId pid = paged_->PageIdOfRow(r);
       out->tape.PageRand(slot_, pid.file, pid.page);
-      out->tape.ChargeScan(slot_, per_match_cpu_, 1);
+      out->tape.Scan(slot_, per_match_cpu_, 1);
       if (!guard_.valid() || cur_page_ != pid.page) {
         guard_ = paged_->buffer()->Pin(pid);
         cur_page_ = pid.page;
@@ -707,9 +689,8 @@ class BatchIndexScanOp : public BatchOp {
         }
       }
       if (!pass) continue;
-      out->tape.ChargeEmit(slot_, p.cpu_tuple_cost);
       for (int c = 0; c < ncols; ++c) out->cols[c].push_back(row_buf_[c]);
-      out->MarkRow();
+      out->EmitRow(slot_);
     }
     return ExecResult::kRow;
   }
@@ -778,7 +759,7 @@ class BatchHashJoinOp : public BatchOp {
   }
 
  private:
-  // Drains the build side, replaying [right row events + build charge] per
+  // Drains the build side, replaying [right row segment + build charge] per
   // consumed batch so a budget abort surfaces at the same tuple a scalar
   // build would stop at.
   ExecResult Build() {
@@ -786,19 +767,14 @@ class BatchHashJoinOp : public BatchOp {
     const double hash_op = p.hash_op_factor * p.cpu_operator_cost;
     const size_t rcols = right_->schema().size();
     bcols_.assign(rcols, {});
-    Tape phase;
     int64_t build_rows = 0;
     for (;;) {
       rbatch_.Reset();
       const ExecResult st = right_->NextBatch(&rbatch_);
       if (st == ExecResult::kAborted) return ExecResult::kAborted;
-      phase.Clear();
-      for (int64_t j = 0; j < rbatch_.n; ++j) {
-        phase.Append(rbatch_.tape, rbatch_.SegBegin(j), rbatch_.SegEnd(j));
-        phase.Charge(slot_, hash_op + p.cpu_tuple_cost);
+      if (!ReplayPhase(rbatch_, hash_op + p.cpu_tuple_cost)) {
+        return ExecResult::kAborted;
       }
-      phase.Append(rbatch_.tape, rbatch_.TailBegin(), rbatch_.tape.size());
-      if (!st_->Replay(phase.events())) return ExecResult::kAborted;
       for (size_t c = 0; c < rcols; ++c) {
         bcols_[c].insert(bcols_[c].end(), rbatch_.cols[c].begin(),
                          rbatch_.cols[c].end());
@@ -812,10 +788,9 @@ class BatchHashJoinOp : public BatchOp {
     if (static_cast<double>(build_rows) * build_width > p.work_mem_bytes) {
       const double build_pages =
           static_cast<double>(build_rows) * build_width / p.page_size_bytes;
-      Tape t;
-      t.Charge(slot_,
-               2.0 * p.seq_page_cost * std::max(1.0, build_pages));
-      if (!st_->Replay(t.events())) return ExecResult::kAborted;
+      if (!ReplayCharge(2.0 * p.seq_page_cost * std::max(1.0, build_pages))) {
+        return ExecResult::kAborted;
+      }
       probe_spill_charge_ =
           2.0 * p.seq_page_cost * build_width / p.page_size_bytes;
     }
@@ -851,9 +826,9 @@ class BatchHashJoinOp : public BatchOp {
     const int64_t* bkeys = next_.empty() ? nullptr : bcols_[right_key_pos_].data();
     match_l_.clear();
     match_b_.clear();
+    out->tape.set_input(&lbatch_.tape);
     for (int64_t j = 0; j < lbatch_.n; ++j) {
-      out->tape.Append(lbatch_.tape, lbatch_.SegBegin(j), lbatch_.SegEnd(j));
-      out->tape.Charge(slot_, probe_charge);
+      out->tape.SpliceRowCharge(slot_, probe_charge);
       const int64_t key = lkeys[j];
       for (int32_t i = head_[HashKey(key) & mask_]; i >= 0; i = next_[i]) {
         if (bkeys[i] != key) continue;
@@ -866,13 +841,12 @@ class BatchHashJoinOp : public BatchOp {
           }
         }
         if (!ok) continue;
-        out->tape.ChargeEmit(slot_, p.cpu_tuple_cost);
         match_l_.push_back(static_cast<int32_t>(j));
         match_b_.push_back(i);
-        out->MarkRow();
+        out->EmitRow(slot_);
       }
     }
-    out->tape.Append(lbatch_.tape, lbatch_.TailBegin(), lbatch_.tape.size());
+    out->tape.SpliceTail(slot_);
     const size_t nm = match_l_.size();
     for (int c = 0; c < lw; ++c) {
       const int64_t* src = lbatch_.cols[c].data();
@@ -960,7 +934,7 @@ class BatchMergeJoinOp : public BatchOp {
       if (st == ExecResult::kAborted) return ExecResult::kAborted;
       // The merge join adds no charge of its own during the drain; the
       // child's events replay verbatim.
-      if (!st_->Replay(in.tape.events())) return ExecResult::kAborted;
+      if (!st_->Replay(in.tape)) return ExecResult::kAborted;
       for (size_t c = 0; c < cols->size(); ++c) {
         (*cols)[c].insert((*cols)[c].end(), in.cols[c].begin(),
                           in.cols[c].end());
@@ -1008,9 +982,7 @@ class BatchMergeJoinOp : public BatchOp {
       SortSide(&rcols_, right_key_pos_, nr_);
     }
     // The scalar engine charges the (possibly zero) sort total in one call.
-    Tape t;
-    t.Charge(slot_, charge);
-    return st_->Replay(t.events()) ? ExecResult::kDone : ExecResult::kAborted;
+    return ReplayCharge(charge) ? ExecResult::kDone : ExecResult::kAborted;
   }
 
   int64_t Combined(int64_t li, int64_t rj, int pos) const {
@@ -1067,10 +1039,9 @@ class BatchMergeJoinOp : public BatchOp {
             }
           }
           if (!ok) continue;
-          out->tape.ChargeEmit(slot_, p.cpu_tuple_cost);
           pairs_l_.push_back(gi_);
           pairs_r_.push_back(rj);
-          out->MarkRow();
+          out->EmitRow(slot_);
         }
         ++gi_;
         gj_ = gr_start_;
@@ -1197,9 +1168,9 @@ class BatchIndexNLJoinOp : public BatchOp {
     match_l_.clear();
     match_r_.clear();
     inner_gather_.clear();
+    out->tape.set_input(&lbatch_.tape);
     for (int64_t j = 0; j < lbatch_.n; ++j) {
-      out->tape.Append(lbatch_.tape, lbatch_.SegBegin(j), lbatch_.SegEnd(j));
-      out->tape.Charge(slot_, descent);
+      out->tape.SpliceRowCharge(slot_, descent);
       const auto& matches = index_->Lookup(lbatch_.cols[outer_key_pos_][j]);
       for (const uint32_t r : matches) {
         if (paged_ != nullptr) {
@@ -1235,17 +1206,16 @@ class BatchIndexNLJoinOp : public BatchOp {
           }
         }
         if (!pass) continue;
-        out->tape.ChargeEmit(slot_, p.cpu_tuple_cost);
         match_l_.push_back(static_cast<int32_t>(j));
         match_r_.push_back(r);
         if (paged_ != nullptr) {
           inner_gather_.insert(inner_gather_.end(), inner_buf_.begin(),
                                inner_buf_.end());
         }
-        out->MarkRow();
+        out->EmitRow(slot_);
       }
     }
-    out->tape.Append(lbatch_.tape, lbatch_.TailBegin(), lbatch_.tape.size());
+    out->tape.SpliceTail(slot_);
     const size_t nm = match_l_.size();
     for (int c = 0; c < lw; ++c) {
       const int64_t* src = lbatch_.cols[c].data();
@@ -1347,8 +1317,9 @@ class BatchMaterialNLJoinOp : public BatchOp {
     if (st == ExecResult::kAborted) return ExecResult::kAborted;
     const int64_t ninner = ninner_;
     sel_.resize(static_cast<size_t>(ninner));
+    out->tape.set_input(&lbatch_.tape);
     for (int64_t j = 0; j < lbatch_.n; ++j) {
-      out->tape.Append(lbatch_.tape, lbatch_.SegBegin(j), lbatch_.SegEnd(j));
+      out->tape.Splice(slot_);
       // Selection vector over the materialized inner: each condition either
       // compares an inner column against a value fixed by the outer row or
       // two inner columns against each other.
@@ -1380,8 +1351,7 @@ class BatchMaterialNLJoinOp : public BatchOp {
         const int32_t i = sel_[k];
         out->tape.Charge(slot_, p.cpu_operator_cost,
                          static_cast<uint32_t>(i - prev));
-        out->tape.ChargeEmit(slot_, p.cpu_tuple_cost);
-        out->MarkRow();
+        out->EmitRow(slot_);
         prev = i;
       }
       if (ninner - 1 > prev) {
@@ -1403,7 +1373,7 @@ class BatchMaterialNLJoinOp : public BatchOp {
         for (int k = 0; k < m; ++k) d[k] = src[sel_[k]];
       }
     }
-    out->tape.Append(lbatch_.tape, lbatch_.TailBegin(), lbatch_.tape.size());
+    out->tape.SpliceTail(slot_);
     if (st == ExecResult::kDone) {
       out->tape.Finish(slot_);
       return ExecResult::kDone;
@@ -1418,18 +1388,11 @@ class BatchMaterialNLJoinOp : public BatchOp {
     icols_.assign(rcols, {});
     ColumnBatch in;
     in.Configure(rcols);
-    Tape phase;
     for (;;) {
       in.Reset();
       const ExecResult st = right_->NextBatch(&in);
       if (st == ExecResult::kAborted) return ExecResult::kAborted;
-      phase.Clear();
-      for (int64_t j = 0; j < in.n; ++j) {
-        phase.Append(in.tape, in.SegBegin(j), in.SegEnd(j));
-        phase.Charge(slot_, p.cpu_tuple_cost);
-      }
-      phase.Append(in.tape, in.TailBegin(), in.tape.size());
-      if (!st_->Replay(phase.events())) return ExecResult::kAborted;
+      if (!ReplayPhase(in, p.cpu_tuple_cost)) return ExecResult::kAborted;
       for (size_t c = 0; c < rcols; ++c) {
         icols_[c].insert(icols_[c].end(), in.cols[c].begin(),
                          in.cols[c].end());
@@ -1495,7 +1458,6 @@ class BatchHashAggregateOp : public BatchOp {
       st_->TouchSlot(slot_);
       touched_ = true;
     }
-    const auto& p = st_->ctx()->cost_model->params();
     if (!built_) {
       if (Build() == ExecResult::kAborted) return ExecResult::kAborted;
       built_ = true;
@@ -1504,12 +1466,11 @@ class BatchHashAggregateOp : public BatchOp {
     const int gcols = static_cast<int>(group_positions_.size());
     while (emit_ != emit_rows_.size() && out->n < bsz) {
       const auto& row = emit_rows_[emit_];
-      out->tape.ChargeEmit(slot_, p.cpu_tuple_cost);
       for (int c = 0; c < gcols; ++c) {
         out->cols[c].push_back(row.first[c]);
       }
       out->cols[gcols].push_back(row.second);
-      out->MarkRow();
+      out->EmitRow(slot_);
       ++emit_;
     }
     if (emit_ == emit_rows_.size()) {
@@ -1525,18 +1486,13 @@ class BatchHashAggregateOp : public BatchOp {
     const double hash_op = p.hash_op_factor * p.cpu_operator_cost;
     ColumnBatch in;
     in.Configure(child_->schema().size());
-    Tape phase;
     for (;;) {
       in.Reset();
       const ExecResult st = child_->NextBatch(&in);
       if (st == ExecResult::kAborted) return ExecResult::kAborted;
-      phase.Clear();
-      for (int64_t j = 0; j < in.n; ++j) {
-        phase.Append(in.tape, in.SegBegin(j), in.SegEnd(j));
-        phase.Charge(slot_, hash_op + p.cpu_operator_cost);
+      if (!ReplayPhase(in, hash_op + p.cpu_operator_cost)) {
+        return ExecResult::kAborted;
       }
-      phase.Append(in.tape, in.TailBegin(), in.tape.size());
-      if (!st_->Replay(phase.events())) return ExecResult::kAborted;
       for (int64_t j = 0; j < in.n; ++j) {
         for (size_t g = 0; g < group_positions_.size(); ++g) {
           key_buf_[g] = in.cols[group_positions_[g]][j];
@@ -1842,7 +1798,6 @@ ExecutionOutcome RunTreeBatch(const PlanNode& root, ExecContext* ctx,
     return out;
   }
   BatchOp* op = built.value().get();
-  const uint16_t root_slot = op->slot();
   const size_t ncols = op->schema().size();
   obs::Histogram* fill_hist =
       ctx->metrics != nullptr
@@ -1873,7 +1828,7 @@ ExecutionOutcome RunTreeBatch(const PlanNode& root, ExecContext* ctx,
       break;
     }
     int64_t ok_rows = 0;
-    const bool ok = state.Replay(batch.tape.events(), root_slot, &ok_rows);
+    const bool ok = state.Replay(batch.tape, &ok_rows);
     if (batch.n > 0) {
       state.batches_produced++;
       state.rows_produced += batch.n;
@@ -1913,7 +1868,10 @@ ExecutionOutcome RunTreeBatch(const PlanNode& root, ExecContext* ctx,
                                               exec_span.trace_id());
     bspan.Num("batch_size", static_cast<double>(ctx->batch_size))
         .Num("batches", static_cast<double>(state.batches_produced))
-        .Num("batch_rows", static_cast<double>(state.rows_produced));
+        .Num("batch_rows", static_cast<double>(state.rows_produced))
+        .Num("tape_events", static_cast<double>(state.tape_events))
+        .Num("tape_bytes", static_cast<double>(state.tape_events) *
+                               sizeof(MeterEvent));
     bspan.End();
     exec_span.Num("budget", budget)
         .Num("charged", out.cost_charged)

@@ -10,14 +10,17 @@
 // Cost accounting instead rides a *metering tape*: every operator emits
 // MeterEvents describing the exact per-tuple charge sequence the scalar
 // engine would have produced — same floating-point charge expressions, same
-// order. Each output batch carries its tape plus per-row segment offsets;
-// a consumer splices its child's segment for row j ahead of its own events
-// for row j, reconstructing the scalar engine's global pipeline
-// interleaving. Replaying the tape applies charges one tuple at a time
-// (double addition is order-sensitive, so runs are never bulk-summed),
-// which makes `charged`, the abort point, and the per-node tuple counters
-// byte-identical to a scalar run of the same plan — the property Theorem 3
-// (MSO) needs from budget-limited partial executions.
+// order. A batch's tape holds only its own operator's events plus *splice
+// markers*; a splice marker stands for "the next k row segments (or the
+// tail) of my pipelined input batch's tape", so a consumer never copies its
+// child's events and a tape's length does not grow with plan depth. Replay
+// walks the chain of live input tapes with one cursor per level, expanding
+// splices in place, which reconstructs the scalar engine's global pipeline
+// interleaving. It applies charges one tuple at a time (double addition is
+// order-sensitive, so runs are never bulk-summed), which makes `charged`,
+// the abort point, and the per-node tuple counters byte-identical to a
+// scalar run of the same plan — the property Theorem 3 (MSO) needs from
+// budget-limited partial executions.
 //
 // Replay granularity: pipeline breakers (hash build, merge drain+sort,
 // materialize, aggregate build) replay their phase's events eagerly per
@@ -25,12 +28,15 @@
 // before any later event, so this is order-safe and bounds post-abort
 // wasted work to about one batch per operator. Pipelined events are
 // replayed by the consumer: inner operators at most one child batch ahead,
-// the root loop once per output batch. Data ahead of an abort is discarded,
-// never accounted.
+// the root loop once per output batch. Every pipelined operator pulls one
+// child batch per NextBatch call, so each input batch a splice refers to
+// stays intact until its consumer's tape has been replayed. Data ahead of
+// an abort is discarded, never accounted.
 
 #ifndef BOUQUET_EXECUTOR_BATCH_H_
 #define BOUQUET_EXECUTOR_BATCH_H_
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -47,123 +53,137 @@ class BufferManager;
 
 namespace batch_internal {
 
-/// Kinds of replayable accounting events.
+/// Kinds of replayable accounting events. Any event may also carry an emit
+/// (MeterEvent::emit), which ends one of the tape's output rows.
 enum class EvKind : uint8_t {
-  kCharge,      ///< meter charge only
-  kChargeScan,  ///< per successful unit: charge, then tuples_scanned++
-  kChargeEmit,  ///< per successful unit: charge, then tuples_out++
-  kFinish,      ///< Instrumentation::FinishNode (no charge)
-  kPageSeq,     ///< paged storage: sequential access to (file, page)
-  kPageRand,    ///< paged storage: random access to (file, page)
+  kCharge,        ///< `count` meter charges of `unit`
+  kScan,          ///< `count` charges of `unit`, each then tuples_scanned++
+  kSpliceCharge,  ///< `count` times: the input's next row segment, then one
+                  ///< charge of `unit`
+  kSplice,        ///< the input's next `count` row segments
+  kSpliceTail,    ///< the rest of the input's tape
+  kPageSeq,       ///< paged storage: sequential access to a page
+  kPageRand,      ///< paged storage: random access to a page
+  kFinish,        ///< Instrumentation::FinishNode (no charge)
 };
 
-/// Charge-like events RLE-merge; structural events never do. Page events
-/// are excluded because their charge is unknown until replay consults the
-/// buffer pool (hit vs miss), so each access must stay an individual event
-/// resolved in scalar charge order.
-inline bool MergeableKind(EvKind k) {
-  return k == EvKind::kCharge || k == EvKind::kChargeScan ||
-         k == EvKind::kChargeEmit;
-}
-
-/// One run-length-encoded accounting event. `count` identical charges are
-/// replayed one meter add at a time (never pre-summed), so RLE compresses
-/// the tape without perturbing floating-point accumulation order.
+/// One run-length-encoded accounting event, 16 bytes. `count` identical
+/// charges are replayed one meter add at a time (never pre-summed), so RLE
+/// compresses the tape without perturbing floating-point accumulation
+/// order. A page event has no unit and no count of its own (its price is
+/// resolved at replay), so its page id lives in those fields.
 struct MeterEvent {
-  double unit = 0.0;
-  uint32_t count = 1;
+  /// Charge kinds: the bit pattern of the per-unit charge. Page kinds: the
+  /// page number.
+  uint64_t arg = 0;
+  /// Charge and splice kinds: repetitions. Page kinds: the page file id.
+  uint32_t count = 0;
   uint16_t node = 0;  ///< node slot (BatchExecState registration order)
   EvKind kind = EvKind::kCharge;
-  uint16_t file = 0;  ///< kPageSeq/kPageRand: page file id
-  uint32_t page = 0;  ///< kPageSeq/kPageRand: page number
-};
+  /// After the event's own work, one charge of the execution's emit unit
+  /// (cpu_tuple_cost) then tuples_out++; ends one output row of the tape.
+  uint8_t emit = 0;
 
-/// Append-only event sequence with merge-fences at row-segment boundaries.
+  double unit() const { return std::bit_cast<double>(arg); }
+};
+static_assert(sizeof(MeterEvent) == 16, "MeterEvent must stay 16 bytes");
+
+/// Append-only event sequence of one operator, plus the input tape its
+/// splice events stand for.
+///
+/// Fused row events: every per-row pattern an operator writes collapses
+/// into one event. Emit() folds into the event just written (a scan
+/// survivor's gap run plus its emit is one kScan), and SpliceRowCharge()
+/// writes a build or probe row's child segment plus its one charge as one
+/// kSpliceCharge, RLE-merging runs of rows that emitted nothing.
 class Tape {
  public:
   void Clear() {
     ev_.clear();
-    fence_ = 0;
+    input_ = nullptr;
   }
   bool empty() const { return ev_.empty(); }
   size_t size() const { return ev_.size(); }
   const std::vector<MeterEvent>& events() const { return ev_; }
 
+  /// The tape whose row segments this tape's splice events consume, in
+  /// order. It must stay unchanged until this tape has been replayed.
+  const Tape* input() const { return input_; }
+  void set_input(const Tape* input) { input_ = input; }
+
   void Charge(uint16_t node, double unit, uint32_t count = 1) {
-    if (count > 0) Push(node, unit, count, EvKind::kCharge);
+    if (count > 0) Push(node, std::bit_cast<uint64_t>(unit), count,
+                        EvKind::kCharge);
   }
-  void ChargeScan(uint16_t node, double unit, uint32_t count = 1) {
-    if (count > 0) Push(node, unit, count, EvKind::kChargeScan);
+  void Scan(uint16_t node, double unit, uint32_t count = 1) {
+    if (count > 0) Push(node, std::bit_cast<uint64_t>(unit), count,
+                        EvKind::kScan);
   }
-  void ChargeEmit(uint16_t node, double unit) {
-    Push(node, unit, 1, EvKind::kChargeEmit);
+  /// Per row, for the input's next `rows` rows: its segment, then one
+  /// charge of `unit`.
+  void SpliceRowCharge(uint16_t node, double unit, uint32_t rows = 1) {
+    if (rows > 0) Push(node, std::bit_cast<uint64_t>(unit), rows,
+                       EvKind::kSpliceCharge);
+  }
+  /// The input's next `rows` row segments.
+  void Splice(uint16_t node, uint32_t rows = 1) {
+    if (rows > 0) Push(node, 0, rows, EvKind::kSplice);
+  }
+  /// Whatever of the input follows its last row: trailing failed scans,
+  /// child finishes.
+  void SpliceTail(uint16_t node) {
+    ev_.push_back({0, 0, node, EvKind::kSpliceTail, 0});
+  }
+  /// Ends an output row: emit charge and tuples_out++, folded into the
+  /// event just written when it is this node's and carries no emit yet.
+  void Emit(uint16_t node) {
+    if (!ev_.empty() && ev_.back().node == node && ev_.back().emit == 0) {
+      ev_.back().emit = 1;
+    } else {
+      ev_.push_back({0, 0, node, EvKind::kCharge, 1});
+    }
   }
   /// Records a page access whose price (hit vs miss) is resolved at replay
   /// time against the buffer pool's deterministic accounting state, in the
   /// exact position the scalar engine would have charged it.
   void PageSeq(uint16_t node, uint16_t file, uint32_t page) {
-    ev_.push_back({0.0, 1, node, EvKind::kPageSeq, file, page});
+    ev_.push_back({page, file, node, EvKind::kPageSeq, 0});
   }
   void PageRand(uint16_t node, uint16_t file, uint32_t page) {
-    ev_.push_back({0.0, 1, node, EvKind::kPageRand, file, page});
+    ev_.push_back({page, file, node, EvKind::kPageRand, 0});
   }
   void Finish(uint16_t node) {
-    ev_.push_back({0.0, 1, node, EvKind::kFinish});
-    fence_ = ev_.size();
-  }
-
-  /// Forbids RLE-merging the next push into the current last event. Row
-  /// segment boundaries must fence, or a later charge could be attributed
-  /// to an earlier segment and replayed out of order after splicing.
-  void Fence() { fence_ = ev_.size(); }
-
-  /// Splices events [from, to) of another tape (a child row segment or
-  /// tail) onto this one, preserving order. Only the first copied event can
-  /// RLE-merge with this tape's tail: within any fence-free span the source
-  /// already merged adjacent identical events, so the rest copy verbatim.
-  void Append(const Tape& src, size_t from, size_t to) {
-    if (from >= to) return;
-    const MeterEvent* s = src.ev_.data();
-    if (ev_.size() > fence_) {
-      const MeterEvent& e = s[from];
-      MeterEvent& b = ev_.back();
-      if (b.kind == e.kind && b.node == e.node && b.unit == e.unit &&
-          b.count <= UINT32_MAX - e.count && MergeableKind(e.kind)) {
-        b.count += e.count;
-        ++from;
-      }
-    }
-    ev_.insert(ev_.end(), s + from, s + to);
+    ev_.push_back({0, 0, node, EvKind::kFinish, 0});
   }
 
  private:
-  void Push(uint16_t node, double unit, uint32_t count, EvKind k) {
-    if (ev_.size() > fence_) {
+  /// RLE-merges into the last event when it is an identical run with no
+  /// emit (an emit ends a row: nothing after it may join its run).
+  void Push(uint16_t node, uint64_t arg, uint32_t count, EvKind k) {
+    if (!ev_.empty()) {
       MeterEvent& b = ev_.back();
-      if (b.kind == k && b.node == node && b.unit == unit &&
-          b.count <= UINT32_MAX - count && MergeableKind(k)) {
+      if (b.kind == k && b.node == node && b.arg == arg && b.emit == 0 &&
+          b.count <= UINT32_MAX - count) {
         b.count += count;
         return;
       }
     }
-    ev_.push_back({unit, count, node, k});
+    ev_.push_back({arg, count, node, k, 0});
   }
 
   std::vector<MeterEvent> ev_;
-  size_t fence_ = 0;
+  const Tape* input_ = nullptr;
 };
 
 }  // namespace batch_internal
 
-/// A batch of rows in columnar layout plus its metering tape. `seg_end[j]`
-/// is the tape length after row j's events; events past `seg_end[n-1]` (the
-/// tail) happened after the last emitted row (trailing failed scans, child
-/// finishes) and are spliced after the consumer's own per-row events.
+/// A batch of rows in columnar layout plus its metering tape. Row j's event
+/// segment ends with the tape's (j+1)-th emit; events after the last emit
+/// (the tail) happened after the last row.
 struct ColumnBatch {
   std::vector<std::vector<int64_t>> cols;
   int64_t n = 0;
   batch_internal::Tape tape;
-  std::vector<uint32_t> seg_end;
 
   void Configure(size_t num_cols) {
     cols.assign(num_cols, {});
@@ -173,18 +193,13 @@ struct ColumnBatch {
     for (auto& c : cols) c.clear();
     n = 0;
     tape.Clear();
-    seg_end.clear();
   }
-  /// Declares the current tape position as the end of the next output row's
-  /// event segment. Call once per appended row, after its events.
-  void MarkRow() {
+  /// Ends the next output row's event segment with `slot`'s emit. Call once
+  /// per appended row, after its events.
+  void EmitRow(uint16_t slot) {
+    tape.Emit(slot);
     ++n;
-    tape.Fence();
-    seg_end.push_back(static_cast<uint32_t>(tape.size()));
   }
-  size_t SegBegin(int64_t j) const { return j == 0 ? 0 : seg_end[j - 1]; }
-  size_t SegEnd(int64_t j) const { return seg_end[j]; }
-  size_t TailBegin() const { return n == 0 ? 0 : seg_end[n - 1]; }
 };
 
 /// Per-execution state shared by a batch operator tree: node-slot registry,
@@ -219,29 +234,43 @@ class BatchExecState {
   /// it repeatedly is harmless (idempotent for a fixed execution).
   void SetBuffer(storage::BufferManager* bm);
 
-  /// Replays events onto the meter and counters in order. Returns false at
-  /// (and latches) a budget abort. When `root_emits` is non-null, counts
-  /// the successful kChargeEmit units of `root_slot` — the number of result
-  /// rows that logically exist before the abort point.
-  bool Replay(const std::vector<batch_internal::MeterEvent>& events,
-              uint16_t root_slot = UINT16_MAX, int64_t* root_emits = nullptr);
+  /// Replays `tape`, and through its splice events the chain of input
+  /// tapes below it, onto the meter and counters in order. Returns false at
+  /// (and latches) a budget abort. When `emitted` is non-null, adds the
+  /// number of `tape`'s own emits that completed — the rows of its batch
+  /// that logically exist before the abort point.
+  bool Replay(const batch_internal::Tape& tape, int64_t* emitted = nullptr);
 
   /// Batch telemetry (data-plane only; never feeds accounting).
   int64_t batches_produced = 0;
   int64_t rows_produced = 0;
+  /// Events on the tapes handed to Replay (each tape counted once).
+  int64_t tape_events = 0;
 
  private:
-  /// Infinite-budget replay: no add can trip the meter, so counters apply
-  /// in bulk and the unit adds run as one flat dependent chain (identical
-  /// add sequence, no per-event abort bookkeeping).
-  bool ReplayNoAbort(const std::vector<batch_internal::MeterEvent>& events,
-                     uint16_t root_slot, int64_t* root_emits, double charged);
+  /// One cursor per tape level of the replay in progress.
+  struct Cursor {
+    const batch_internal::MeterEvent* pos;
+    const batch_internal::MeterEvent* end;
+  };
+  /// Replays level `level` until `rows` of its emits have completed, or to
+  /// its end when `rows` is negative. kCheck is false for an infinite
+  /// budget, which no add can trip.
+  template <bool kCheck>
+  bool ReplayLevel(size_t level, int64_t rows);
 
   ExecContext* ctx_;
   std::vector<const PlanNode*> nodes_;
   std::vector<NodeCounters*> nc_;
-  std::vector<double> units_;  ///< flat-replay scratch
   bool aborted_ = false;
+  /// Replay in progress: cursors, the meter value and budget held outside
+  /// the CostMeter (written back once per Replay), the emit unit, and the
+  /// count of level-0 emits.
+  std::vector<Cursor> cursors_;
+  double acc_ = 0.0;
+  double budget_ = 0.0;
+  double emit_unit_ = 0.0;
+  int64_t top_emits_ = 0;
   /// Paged storage (null for in-memory databases). Page events resolve
   /// through ExecContext::AccessPage here, in replay order — the same
   /// deterministic accounting sequence the scalar engine produces at access
@@ -271,18 +300,26 @@ class BatchOp {
   virtual ExecResult NextBatch(ColumnBatch* out) = 0;
 
   const std::vector<SchemaCol>& schema() const { return schema_; }
-  uint16_t slot() const { return slot_; }
   int FindColumn(int table_idx, int col_idx) const;
 
  protected:
   BatchOp(const PlanNode* node, BatchExecState* st)
       : node_(node), st_(st), slot_(st->Register(node)) {}
 
+  /// Eager replay of one batch of a pipeline breaker's phase: each of `in`'s
+  /// row segments followed by one charge of `unit`, then `in`'s tail.
+  bool ReplayPhase(const ColumnBatch& in, double unit);
+  /// Eager replay of one charge of `unit` by this node.
+  bool ReplayCharge(double unit);
+
   const PlanNode* node_;
   BatchExecState* st_;
   uint16_t slot_;
   std::vector<SchemaCol> schema_;
   bool touched_ = false;
+
+ private:
+  batch_internal::Tape phase_;  ///< scratch for ReplayPhase/ReplayCharge
 };
 
 /// Builds a batch operator tree over `state` (which must outlive the tree).

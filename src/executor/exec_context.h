@@ -45,7 +45,7 @@ class CostMeter {
   void RestoreCharged(double charged) {
     // The one sanctioned non-add write: the tape replayer's register spill
     // back into the accumulator. The replay loop performs the adds one
-    // event at a time (batch.cc Replay/ReplayNoAbort) so association is
+    // unit at a time (batch.cc BatchExecState::Replay) so association is
     // unchanged, and the differential harness pins the value bit-exactly
     // against the scalar engine.
     charged_ = charged;  // NOLINT(bouquet-charge-order): replay writeback

@@ -96,17 +96,20 @@ Status PageFile::WritePage(uint32_t page_no, const uint8_t* frame) {
 }
 
 Result<uint32_t> PageFile::AllocatePage() {
-  uint32_t page_no;
-  {
-    MutexLock lock(&mu_);
-    page_no = num_pages_++;
+  MutexLock lock(&mu_);
+  // Grow the file by one page. The new bytes read back as zeros, so Open()'s
+  // whole-pages invariant and ReadPage on a never-written allocation both
+  // hold without writing the page. Allocations extend the file under mu_ in
+  // page order, and pages are written only once allocated, so the size
+  // never shrinks.
+  const uint32_t page_no = num_pages_;
+  const off_t size = static_cast<off_t>(page_no + 1) * kPageSize;
+  if (::ftruncate(fd_, size) != 0) {
+    return Status::Internal(StrPrintf("ftruncate %s to page %u: %s",
+                                      path_.c_str(), page_no,
+                                      std::strerror(errno)));
   }
-  // Materialize the page as zeros so Open()'s whole-pages invariant and
-  // ReadPage on a never-written allocation both hold.
-  uint8_t zeros[kPageSize];
-  std::memset(zeros, 0, kPageSize);
-  const Status s = WritePage(page_no, zeros);
-  if (!s.ok()) return s;
+  num_pages_ = page_no + 1;
   return page_no;
 }
 

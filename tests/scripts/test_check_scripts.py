@@ -166,12 +166,16 @@ class ExecSmokeTest(CheckerTestCase):
         section = {"scalar_seconds": 0.1, "batch_seconds": 0.02,
                    "speedup": 5.0, "rows_emitted": 1234,
                    "charged_bit_equal": True, "rows_equal": True}
+        pipeline = dict(section, rows_emitted=9503, tape_bytes_per_row=14.3)
         return {"scan": copy.deepcopy(section),
-                "join": copy.deepcopy(section)}
+                "join": copy.deepcopy(section),
+                "pipeline": pipeline}
 
     def baseline(self):
         floor = {"expected_rows": 1234, "min_speedup": 1.5}
-        return {"scan": dict(floor), "join": dict(floor)}
+        return {"scan": dict(floor), "join": dict(floor),
+                "pipeline": {"expected_rows": 9503, "min_speedup": 1.5,
+                             "max_tape_bytes_per_row": 20.0}}
 
     def check(self, bench, baseline):
         return run_checker("check_exec_smoke.py",
@@ -198,6 +202,42 @@ class ExecSmokeTest(CheckerTestCase):
         bench["scan"]["speedup"] = 1.0
         self.assert_fail(self.check(bench, self.baseline()),
                          "throughput")
+
+    def test_fails_on_pipeline_charge_divergence(self):
+        bench = self.bench()
+        bench["pipeline"]["charged_bit_equal"] = False
+        self.assert_fail(self.check(bench, self.baseline()),
+                         "pipeline: charged cost diverged")
+
+    def test_fails_on_pipeline_row_mismatch(self):
+        bench = self.bench()
+        bench["pipeline"]["rows_equal"] = False
+        self.assert_fail(self.check(bench, self.baseline()),
+                         "pipeline: engines emitted different row counts")
+
+    def test_fails_on_pipeline_row_drift(self):
+        bench = self.bench()
+        bench["pipeline"]["rows_emitted"] = 9502
+        self.assert_fail(self.check(bench, self.baseline()),
+                         "pipeline: 9502 rows emitted")
+
+    def test_fails_on_pipeline_speedup_collapse(self):
+        bench = self.bench()
+        bench["pipeline"]["speedup"] = 1.2
+        self.assert_fail(self.check(bench, self.baseline()),
+                         "pipeline: speedup")
+
+    def test_fails_when_tape_grows(self):
+        bench = self.bench()
+        bench["pipeline"]["tape_bytes_per_row"] = 78.9
+        self.assert_fail(self.check(bench, self.baseline()),
+                         "metering tape grew")
+
+    def test_fails_when_pipeline_section_missing(self):
+        bench = self.bench()
+        del bench["pipeline"]
+        self.assert_fail(self.check(bench, self.baseline()),
+                         "pipeline: section missing")
 
 
 class StorageSmokeTest(CheckerTestCase):

@@ -6,7 +6,8 @@
 // that contract three ways: a seeded fuzz sweep through the differential
 // harness (scaled up by BOUQUET_EXEC_DIFF_ITERS for scheduled runs),
 // hand-built degenerate shapes (empty inputs, single rows, everything
-// filtered, batch size 1), and a full BouquetDriver matrix asserting the
+// filtered, batch size 1), consecutive abort points walked through a paged
+// three-join pipeline, and a full BouquetDriver matrix asserting the
 // driver's DriverStep sequences are byte-identical across engines.
 
 #include <gtest/gtest.h>
@@ -230,6 +231,163 @@ TEST_F(DegenerateFixture, JoinsWithSingleAndFilteredInputs) {
     ExpectParity(*Join(op, Scan(1), Scan(2), 1));       // 1-row left
     ExpectParity(*Join(op, Scan(2, {0}), Scan(2), 0));  // all-filtered left
   }
+}
+
+// ---------------------------------------------------------------------------
+// Consecutive abort points through splice boundaries
+// ---------------------------------------------------------------------------
+
+// A paged left-deep pipeline of three joins: a filtered lineitem scan
+// probing a hash join, then an index-NL join and a material-NL join. A root
+// batch's tape therefore splices through three levels of input tapes. From
+// ~50 start budgets spread over the full run, each of the next 20 budgets
+// is the scalar run's charged-at-abort of the previous one: the add that
+// tripped the meter now just fits, and the abort moves to the next add. So
+// every add near each start is the abort point once, including adds inside
+// spliced child segments and on segment boundaries.
+class SpliceAbortFixture : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    TpchDataOptions data_opts;
+    data_opts.mini_scale = 0.05;
+    MakeTpchDatabase(&mem_db_, data_opts);
+    SyncTpchCatalog(mem_db_, &catalog_);
+    query_.name = "splice_abort";
+    query_.tables = {"lineitem", "orders", "customer", "nation"};
+    query_.joins = {
+        JoinPredicate{"lineitem", "l_orderkey", "orders", "o_orderkey", -1.0},
+        JoinPredicate{"orders", "o_custkey", "customer", "c_custkey", -1.0},
+        JoinPredicate{"customer", "c_nationkey", "nation", "n_nationkey",
+                      -1.0}};
+    query_.filters = {SelectionPredicate{"lineitem", "l_quantity",
+                                         CompareOp::kLess, 10, -1.0}};
+    ASSERT_TRUE(query_.Validate(catalog_).ok());
+    cm_ = std::make_unique<CostModel>(CostParams::Postgres());
+
+    storage::StorageOptions sopts;
+    sopts.data_dir = ::testing::TempDir() + "/splice_abort";
+    sopts.pool_pages = 8;  // smaller than lineitem: misses and hits both
+    sopts.policy = storage::EvictionPolicyKind::k2Q;
+    sm_ = std::make_unique<storage::StorageManager>(sopts);
+    for (const std::string& t : query_.tables) {
+      auto imported = sm_->ImportTable(mem_db_.table(t));
+      ASSERT_TRUE(imported.ok()) << t << ": " << imported.status().ToString();
+    }
+    paged_db_.AttachStorage(sm_.get());
+
+    auto hash = Node(OpType::kHashJoin, Scan(0, {0}), Scan(1), {0});
+    auto inl = Node(OpType::kIndexNLJoin, hash, Scan(2), {1});
+    inl->index_join = 1;
+    plan_ = Node(OpType::kMaterialNLJoin, inl, Scan(3), {2});
+    nodes_ = {plan_.get(),        inl.get(),          hash.get(),
+              hash->left.get(),   hash->right.get(),  plan_->right.get()};
+  }
+
+  static PlanNodeRef Scan(int table, std::vector<int> filters = {}) {
+    auto n = std::make_shared<PlanNode>();
+    n->op = OpType::kSeqScan;
+    n->table_idx = table;
+    n->filter_idxs = std::move(filters);
+    return n;
+  }
+
+  static std::shared_ptr<PlanNode> Node(OpType op, PlanNodeRef l,
+                                        PlanNodeRef r, std::vector<int> joins) {
+    auto n = std::make_shared<PlanNode>();
+    n->op = op;
+    n->left = std::move(l);
+    n->right = std::move(r);
+    n->join_idxs = std::move(joins);
+    return n;
+  }
+
+  struct Snap {
+    ExecutionOutcome out;
+    std::vector<NodeCounters> counters;  ///< per nodes_ entry
+    std::vector<bool> present;
+  };
+
+  // One run from a cold pool, so both engines replay the same eviction
+  // history.
+  Snap RunOnce(ExecEngine engine, int batch_size, double budget) {
+    sm_->buffer()->ResetForTest();
+    ExecContext ctx;
+    ctx.query = &query_;
+    ctx.catalog = &catalog_;
+    ctx.db = &paged_db_;
+    ctx.cost_model = cm_.get();
+    ctx.batch_size = batch_size;
+    Snap s;
+    s.out = ExecutePlanWith(engine, *plan_, &ctx, budget, nullptr);
+    for (const PlanNode* n : nodes_) {
+      const NodeCounters* nc = ctx.instr.Find(n);
+      s.present.push_back(nc != nullptr);
+      s.counters.push_back(nc != nullptr ? *nc : NodeCounters{});
+    }
+    return s;
+  }
+
+  static void ExpectSame(const Snap& scalar, const Snap& batch,
+                         const std::string& where) {
+    ASSERT_EQ(batch.out.status, scalar.out.status) << where;
+    ASSERT_EQ(batch.out.cost_charged, scalar.out.cost_charged) << where;
+    ASSERT_EQ(batch.out.rows_emitted, scalar.out.rows_emitted) << where;
+    ASSERT_EQ(batch.out.page_reads, scalar.out.page_reads) << where;
+    ASSERT_EQ(batch.out.page_hits, scalar.out.page_hits) << where;
+    for (size_t i = 0; i < scalar.counters.size(); ++i) {
+      ASSERT_EQ(batch.present[i], scalar.present[i]) << where << " node " << i;
+      ASSERT_EQ(batch.counters[i].tuples_out, scalar.counters[i].tuples_out)
+          << where << " node " << i;
+      ASSERT_EQ(batch.counters[i].tuples_scanned,
+                scalar.counters[i].tuples_scanned)
+          << where << " node " << i;
+      ASSERT_EQ(batch.counters[i].finished, scalar.counters[i].finished)
+          << where << " node " << i;
+    }
+  }
+
+  Database mem_db_;
+  Database paged_db_;
+  Catalog catalog_;
+  QuerySpec query_;
+  std::unique_ptr<CostModel> cm_;
+  std::unique_ptr<storage::StorageManager> sm_;
+  PlanNodeRef plan_;
+  std::vector<const PlanNode*> nodes_;
+};
+
+TEST_F(SpliceAbortFixture, ConsecutiveAbortPointsMatchScalar) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const Snap full = RunOnce(ExecEngine::kScalar, 1024, inf);
+  ASSERT_EQ(full.out.status, ExecResult::kDone);
+  ASSERT_GT(full.out.rows_emitted, 0);
+  ASSERT_GT(full.out.page_reads, 0);
+  ASSERT_GT(full.out.page_hits, 0);
+  for (const int bsz : {1, 7, 1024}) {
+    ExpectSame(full, RunOnce(ExecEngine::kBatch, bsz, inf),
+               "unbudgeted batch " + std::to_string(bsz));
+  }
+  constexpr int kStarts = 50;
+  constexpr int kSteps = 20;
+  int aborts = 0;
+  for (int start = 1; start <= kStarts; ++start) {
+    double budget = full.out.cost_charged * start / (kStarts + 1);
+    for (int step = 0; step < kSteps; ++step) {
+      const Snap scalar = RunOnce(ExecEngine::kScalar, 1024, budget);
+      for (const int bsz : {1, 7, 1024}) {
+        ExpectSame(scalar, RunOnce(ExecEngine::kBatch, bsz, budget),
+                   "start " + std::to_string(start) + " step " +
+                       std::to_string(step) + " batch " +
+                       std::to_string(bsz));
+      }
+      if (scalar.out.status != ExecResult::kAborted) break;
+      ASSERT_GT(scalar.out.cost_charged, budget);
+      budget = scalar.out.cost_charged;
+      ++aborts;
+    }
+  }
+  // Every start lies below the total, so nearly every step aborts.
+  EXPECT_GT(aborts, kStarts * kSteps * 9 / 10);
 }
 
 // ---------------------------------------------------------------------------

@@ -399,7 +399,7 @@ TEST_F(OpsFixture, BatchRepullAfterAbortIsCheckedNoOp) {
     batch.Reset();
     const ExecResult st = (*built)->NextBatch(&batch);
     ASSERT_NE(st, ExecResult::kAborted);  // data plane never trips the meter
-    ASSERT_FALSE(state.Replay(batch.tape.events()));  // ...the replay does
+    ASSERT_FALSE(state.Replay(batch.tape));  // ...the replay does
     const double charged = ctx.meter.charged();
     for (int i = 0; i < 3; ++i) {
       batch.Reset();

@@ -9,12 +9,14 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "bouquet/driver.h"
 #include "ess/posp_generator.h"
+#include "executor/batch.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "service/service.h"
@@ -321,6 +323,62 @@ TEST(ServiceObservabilityTest, DetachedSinksProduceNothing) {
   auto res = service.Run(req);
   ASSERT_TRUE(res.ok());
   EXPECT_TRUE(res->sim.completed);  // observability off changes nothing
+}
+
+// ---------------------------------------------------------------------------
+// Batch executor: tape volume on the exec.batch span.
+// ---------------------------------------------------------------------------
+
+TEST(BatchExecObsTest, ExecBatchSpanReportsTapeVolume) {
+  Database db;
+  Catalog catalog;
+  TpchDataOptions opts;
+  opts.mini_scale = 0.2;
+  MakeTpchDatabase(&db, opts);
+  SyncTpchCatalog(db, &catalog);
+  QuerySpec query;
+  query.name = "obs_two_joins";
+  query.tables = {"customer", "orders", "lineitem"};
+  query.joins = {
+      JoinPredicate{"orders", "o_custkey", "customer", "c_custkey", -1.0},
+      JoinPredicate{"lineitem", "l_orderkey", "orders", "o_orderkey", -1.0}};
+  const CostModel cm(CostParams::Postgres());
+
+  const auto scan = [](int table) {
+    auto n = std::make_shared<PlanNode>();
+    n->op = OpType::kSeqScan;
+    n->table_idx = table;
+    return n;
+  };
+  const auto join = [](PlanNodeRef l, PlanNodeRef r, int join_idx) {
+    auto n = std::make_shared<PlanNode>();
+    n->op = OpType::kHashJoin;
+    n->left = std::move(l);
+    n->right = std::move(r);
+    n->join_idxs = {join_idx};
+    return n;
+  };
+  // (lineitem probe ⋈ orders build) probing a customer build.
+  const PlanNodeRef plan = join(join(scan(2), scan(1), 1), scan(0), 0);
+
+  obs::Tracer tracer(1 << 12);
+  ExecContext ctx;
+  ctx.query = &query;
+  ctx.catalog = &catalog;
+  ctx.db = &db;
+  ctx.cost_model = &cm;
+  ctx.tracer = &tracer;
+  const ExecutionOutcome out = ExecutePlanBatch(
+      *plan, &ctx, std::numeric_limits<double>::infinity());
+  ASSERT_EQ(out.status, ExecResult::kDone);
+  ASSERT_GT(out.rows_emitted, 0);
+
+  const auto batches = SpansNamed(tracer.Snapshot(), "exec.batch");
+  ASSERT_EQ(batches.size(), 1u);
+  const double events = NumAttr(batches[0], "tape_events");
+  const double bytes = NumAttr(batches[0], "tape_bytes");
+  EXPECT_GT(events, 0.0);
+  EXPECT_EQ(bytes, events * sizeof(batch_internal::MeterEvent));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 // Tests for storage/: DataTable, indexes, Database registry, data
-// generators.
+// generators, page-file allocation.
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
+#include <algorithm>
 #include <atomic>
 #include <set>
 #include <thread>
@@ -11,6 +13,7 @@
 #include "common/rng.h"
 #include "storage/datagen.h"
 #include "storage/index.h"
+#include "storage/page_file.h"
 #include "storage/table.h"
 
 namespace bouquet {
@@ -221,6 +224,76 @@ TEST(DatagenTest, ZipfDomain) {
     EXPECT_GE(x, 1);
     EXPECT_LE(x, 50);
   }
+}
+
+off_t FileSize(const std::string& path) {
+  struct stat st;
+  return ::stat(path.c_str(), &st) == 0 ? st.st_size : -1;
+}
+
+// AllocatePage grows the file without writing the page: a never-written
+// allocation must still read back as zeros, the file stays a whole number of
+// pages (Open()'s invariant), and concurrent allocators never shrink it.
+TEST(PageFileTest, AllocateGrowsFileWithZeroPages) {
+  using storage::kPageSize;
+  using storage::PageFile;
+  const std::string path = ::testing::TempDir() + "/page_file_alloc.pages";
+  const off_t page_bytes = static_cast<off_t>(kPageSize);
+  auto created = PageFile::Create(path);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  PageFile& file = *created.value();
+
+  std::vector<uint8_t> frame(kPageSize, 0xAB);
+  for (uint32_t want = 0; want < 3; ++want) {
+    auto page = file.AllocatePage();
+    ASSERT_TRUE(page.ok()) << page.status().ToString();
+    EXPECT_EQ(page.value(), want);
+    EXPECT_EQ(FileSize(path), static_cast<off_t>(want + 1) * page_bytes);
+  }
+  // Write the middle page; the pages around it were never written.
+  ASSERT_TRUE(file.WritePage(1, frame.data()).ok());
+  for (const uint32_t p : {0u, 2u}) {
+    std::vector<uint8_t> got(kPageSize, 0xFF);
+    ASSERT_TRUE(file.ReadPage(p, got.data()).ok());
+    EXPECT_TRUE(std::all_of(got.begin(), got.end(),
+                            [](uint8_t b) { return b == 0; }))
+        << "page " << p;
+  }
+  std::vector<uint8_t> got(kPageSize, 0);
+  ASSERT_TRUE(file.ReadPage(1, got.data()).ok());
+  EXPECT_EQ(got, frame);
+
+  // Four threads allocate and immediately write their pages; the file size
+  // a thread observes after each allocation never falls below its page.
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 64;
+  std::atomic<int> violations{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      std::vector<uint8_t> mine(kPageSize, 0x5A);
+      for (int i = 0; i < kPerThread; ++i) {
+        auto page = file.AllocatePage();
+        if (!page.ok() || !file.WritePage(page.value(), mine.data()).ok()) {
+          violations++;
+          continue;
+        }
+        const off_t need = static_cast<off_t>(page.value() + 1) * page_bytes;
+        if (FileSize(path) < need) {
+          violations++;
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(violations.load(), 0);
+  const uint32_t pages = 3 + kThreads * kPerThread;
+  EXPECT_EQ(file.num_pages(), pages);
+  EXPECT_EQ(FileSize(path), static_cast<off_t>(pages) * page_bytes);
+  auto reopened = PageFile::Open(path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(reopened.value()->num_pages(), pages);
+  ASSERT_TRUE(file.CloseAndRemove().ok());
 }
 
 }  // namespace
