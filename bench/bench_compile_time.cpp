@@ -5,8 +5,9 @@
 //
 // Also emits machine-readable BENCH_compile.json with per-template dp_calls
 // / recost_hits / wall seconds; `--smoke` runs only the fixed 2D/res-100
-// template (plus its memoryless reference) for the CI perf gate checked by
-// scripts/check_compile_smoke.py.
+// template (plus its memoryless reference) for the smoke_compile gate
+// (scripts/check_smoke.py against bench/baselines/compile_smoke.json; run
+// with `ctest -C smoke -L smoke`).
 
 #include <benchmark/benchmark.h>
 
@@ -143,6 +144,9 @@ void PrintReproduction() {
   std::printf("\n  %-12s %-9s %-12s %-12s %-10s %-12s %-12s\n", "space",
               "points", "exh calls", "exh time", "par time", "cntr calls",
               "cntr time");
+  ThreadPool pool(8);
+  PospOptions par;
+  par.pool = &pool;
   for (const auto& name : AllSpaceNames()) {
     const NamedSpace space = GetSpace(name, tpch, tpcds);
     const Catalog& cat = space.benchmark == "H" ? tpch : tpcds;
@@ -150,10 +154,10 @@ void PrintReproduction() {
 
     PospStats serial_stats;
     GeneratePosp(space.query, cat, CostParams::Postgres(), grid,
-                 PospOptions{1}, &serial_stats);
+                 PospOptions{}, &serial_stats);
     PospStats par_stats;
-    GeneratePosp(space.query, cat, CostParams::Postgres(), grid,
-                 PospOptions{8}, &par_stats);
+    GeneratePosp(space.query, cat, CostParams::Postgres(), grid, par,
+                 &par_stats);
     const auto t0 = std::chrono::steady_clock::now();
     const SparsePosp sparse = GenerateContourPosp(
         space.query, cat, CostParams::Postgres(), grid, 2.0);

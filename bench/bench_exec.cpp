@@ -23,9 +23,10 @@
 //
 // Default mode prints the reproduction-style report with a batch-size
 // sweep. `--smoke [out.json]` runs the same measurement with CI-sized
-// repetitions and writes BENCH_exec.json for scripts/check_exec_smoke.py,
-// which gates the single-thread speedup floors and the charged-cost
-// bit-equality between engines. `--data-dir DIR` places the pipeline's page
+// repetitions and writes BENCH_exec.json for the smoke_exec gate
+// (scripts/check_smoke.py against bench/baselines/exec_smoke.json; run with
+// `ctest -C smoke -L smoke`), which checks the single-thread speedup floors
+// and the charged-cost bit-equality between engines. `--data-dir DIR` places the pipeline's page
 // files (default /tmp/bouquet_bench_exec).
 
 #include <algorithm>

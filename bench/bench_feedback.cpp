@@ -13,8 +13,9 @@
 //              counted here at scale);
 //   shootout — MSO / ASO / MaxHarm for the five policies on one space.
 //
-// `--smoke` runs reduced sizes for the CI perf gate checked by
-// scripts/check_feedback_smoke.py.
+// `--smoke` runs reduced sizes for the smoke_feedback gate
+// (scripts/check_smoke.py against bench/baselines/feedback_smoke.json; run
+// with `ctest -C smoke -L smoke`).
 
 #include <benchmark/benchmark.h>
 

@@ -9,8 +9,9 @@
 // `--serve-smoke [out.json]` instead runs the full src/net/ serving stack
 // (epoll reactors + batching router + MSO-safe shedding) against a loopback
 // open-loop client and writes BENCH_serve.json (QPS, p50/p99 latency,
-// compile and batch counts, degraded/shed totals) for the
-// scripts/check_serve_smoke.py CI gate.
+// compile and batch counts, degraded/shed totals) for the smoke_serve gate
+// (scripts/check_smoke.py against bench/baselines/serve_smoke.json; run
+// with `ctest -C smoke -L smoke`).
 
 #include <benchmark/benchmark.h>
 

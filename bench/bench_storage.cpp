@@ -24,9 +24,11 @@
 //              counters exactly (the accounting the I/O-charged MSO rests
 //              on).
 //
-// Charged costs are deterministic, so the CI gates
-// (scripts/check_storage_smoke.py over BENCH_storage.json) are exact ratio
-// floors, immune to machine noise; wall times are printed for context only.
+// Charged costs are deterministic, so the smoke_storage gate
+// (scripts/check_smoke.py over BENCH_storage.json against
+// bench/baselines/storage_smoke.json; run with `ctest -C smoke -L smoke`)
+// checks exact ratio floors, immune to machine noise; wall times are printed
+// for context only.
 
 #include <chrono>
 #include <cstdio>

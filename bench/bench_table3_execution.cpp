@@ -42,9 +42,11 @@ std::unique_ptr<RealSetup> Build() {
   s->opt = std::make_unique<QueryOptimizer>(s->query, s->catalog,
                                             CostParams::Postgres());
   s->grid = std::make_unique<EssGrid>(s->query, std::vector<int>{24, 24});
+  ThreadPool pool(8);
+  PospOptions posp;
+  posp.pool = &pool;
   s->diagram = std::make_unique<PlanDiagram>(GeneratePosp(
-      s->query, s->catalog, CostParams::Postgres(), *s->grid,
-      PospOptions{8}));
+      s->query, s->catalog, CostParams::Postgres(), *s->grid, posp));
   s->bouquet = std::make_unique<PlanBouquet>(
       BuildBouquet(*s->diagram, s->opt.get()));
   return s;

@@ -61,8 +61,9 @@ inline std::unique_ptr<SpacePipeline> BuildSpace(
   const int res =
       resolution > 0 ? resolution : EssGrid::DefaultResolutionForDims(dims);
   p->grid = std::make_unique<EssGrid>(p->query, std::vector<int>(dims, res));
+  ThreadPool pool(8);
   PospOptions opts;
-  opts.num_threads = 8;
+  opts.pool = &pool;
   p->diagram = std::make_unique<PlanDiagram>(
       GeneratePosp(p->query, p->catalog, params, *p->grid, opts,
                    &p->posp_stats));

@@ -7,7 +7,6 @@
 #include <cmath>
 #include <limits>
 #include <memory>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -177,9 +176,8 @@ PlanDiagram GeneratePosp(const QuerySpec& query, const Catalog& catalog,
     // shard smaller than min_shard_points — the tail is folded into the
     // last shard instead of becoming its own (a single-point tail would pay
     // a full per-shard optimizer construction for one DP call).
-    const uint64_t max_shards = std::max<uint64_t>(
-        2 * (static_cast<uint64_t>(options.pool->size()) + 1),
-        static_cast<uint64_t>(std::max(1, options.num_threads)));
+    const uint64_t max_shards =
+        2 * (static_cast<uint64_t>(options.pool->size()) + 1);
     const uint64_t min_chunk =
         std::max<uint64_t>(1, options.min_shard_points);
     const uint64_t shards =
@@ -194,25 +192,6 @@ PlanDiagram GeneratePosp(const QuerySpec& query, const Catalog& catalog,
                  &results[s]);
       }
     });
-    MergeShards(results, chunk, &diagram, &agg);
-  } else if (options.pool == nullptr && options.num_threads > 1 &&
-             n >= options.min_shard_points) {
-    const int threads =
-        std::min<int>(options.num_threads,
-                      static_cast<int>(std::min<uint64_t>(n, 64)));
-    std::vector<ShardResult> results(threads);
-    std::vector<std::thread> workers;
-    const uint64_t chunk = (n + threads - 1) / threads;
-    for (int t = 0; t < threads; ++t) {
-      const uint64_t begin = chunk * t;
-      const uint64_t end = std::min(n, begin + chunk);
-      if (begin >= end) break;
-      workers.emplace_back(RunShard, std::cref(query), std::cref(catalog),
-                           params, std::cref(grid), std::cref(options), begin,
-                           end, &results[t]);
-    }
-    for (auto& w : workers) w.join();
-    results.resize(workers.size());
     MergeShards(results, chunk, &diagram, &agg);
   } else {
     // Serial: one shard spanning the whole grid (the fast path sees the

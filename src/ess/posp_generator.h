@@ -1,15 +1,13 @@
 // Exhaustive POSP generation: optimize the query at every ESS grid point.
 //
-// The task is embarrassingly parallel (Section 4.2 of the paper), so the
-// generator optionally shards the grid across threads, each with its own
+// The task is embarrassingly parallel (Section 4.2 of the paper), so with a
+// `pool` the generator shards the grid across a shared ThreadPool (nest-safe,
+// so a pool task may itself generate a POSP), each shard with its own
 // QueryOptimizer instance, and merges per-shard results through signature
-// interning. Two parallel backends exist:
-//   * `num_threads > 1`: spawns ad-hoc std::threads (legacy path).
-//   * `pool != nullptr`: shards across a shared ThreadPool (the service
-//     layer's path; nest-safe, so a pool task may itself generate a POSP).
-// Both backends produce a diagram bit-identical to the serial one: plans are
-// interned in order of first occurrence over the linear grid order, which is
-// invariant to how the grid is chunked (shards are merged in linear order).
+// interning. Without a pool it runs serially, the reference the sharded run
+// must match bit-for-bit: plans are interned in order of first occurrence
+// over the linear grid order, which is invariant to how the grid is chunked
+// (shards are merged in linear order).
 //
 // Incremental compilation (on by default): POSP diagrams are massively
 // redundant — a handful of plans tile huge grid regions (Harish et al.,
@@ -57,12 +55,8 @@
 namespace bouquet {
 
 struct PospOptions {
-  /// Ad-hoc thread count; honored exactly (no hardware_concurrency clamp) so
-  /// sharding behavior is reproducible across machines. With a pool it only
-  /// raises the shard-count ceiling (the pool supplies the workers).
-  int num_threads = 1;
-  /// When set, grid rows are partitioned across this pool instead of ad-hoc
-  /// threads. The pool is borrowed, not owned.
+  /// When set, grid rows are partitioned across this pool; otherwise the
+  /// generator runs serially. The pool is borrowed, not owned.
   ThreadPool* pool = nullptr;
   /// Grids smaller than this stay serial (per-shard optimizer construction
   /// is not free), and no shard is ever smaller than this (the tail is

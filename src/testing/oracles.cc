@@ -391,28 +391,29 @@ OracleResult CheckMetamorphic(const FuzzInstance& inst, const EssGrid& grid,
   OracleResult r;
   std::string why;
 
-  // Rule 1: permuting thread/chunk counts in parallel POSP compilation
-  // yields bit-identical diagrams and bouquets (PR 1's identity assertion,
-  // generalized to random instances).
+  // Rule 1: permuting pool sizes (and so shard counts) in parallel POSP
+  // compilation yields bit-identical diagrams and bouquets (the serial
+  // identity assertion, generalized to random instances).
   {
-    PospOptions threads;
-    threads.num_threads = 3;
-    threads.min_shard_points = 1;
-    const PlanDiagram d_threads = GeneratePosp(
-        inst.query, inst.catalog, inst.cost_params, grid, threads);
-    if (!DiagramsIdentical(diagram, d_threads, &why)) {
-      Fail(&r, "3-thread POSP diverged from serial: " + why);
-      return r;
-    }
-    ThreadPool pool(2);
-    PospOptions pooled;
-    pooled.pool = &pool;
-    pooled.min_shard_points = 1;
-    const PlanDiagram d_pool = GeneratePosp(
-        inst.query, inst.catalog, inst.cost_params, grid, pooled);
-    if (!DiagramsIdentical(diagram, d_pool, &why)) {
-      Fail(&r, "pooled POSP diverged from serial: " + why);
-      return r;
+    for (const int workers : {2, 3}) {
+      ThreadPool pool(workers);
+      PospOptions pooled;
+      pooled.pool = &pool;
+      pooled.min_shard_points = 1;
+      const PlanDiagram d_pool = GeneratePosp(
+          inst.query, inst.catalog, inst.cost_params, grid, pooled);
+      if (!DiagramsIdentical(diagram, d_pool, &why)) {
+        Fail(&r, StrPrintf("%d-worker pooled POSP diverged from serial: ",
+                           workers) + why);
+        return r;
+      }
+      QueryOptimizer opt_pool(inst.query, inst.catalog, inst.cost_params);
+      const PlanBouquet b_pool =
+          BuildBouquet(d_pool, &opt_pool, inst.bouquet_params);
+      if (!BouquetsIdentical(bouquet, b_pool, &why)) {
+        Fail(&r, "bouquet not invariant to POSP sharding: " + why);
+        return r;
+      }
     }
     // Rule 1b: the incremental fast path is invisible in the output — a
     // memoryless run (one full DP per point, no memo, no recost skips)
@@ -450,18 +451,6 @@ OracleResult CheckMetamorphic(const FuzzInstance& inst, const EssGrid& grid,
             static_cast<long long>(grid.num_points())) {
       Fail(&r, "POSP point accounting broken (dp_calls + recost_hits != "
                "points)");
-      return r;
-    }
-
-    QueryOptimizer opt_threads(inst.query, inst.catalog, inst.cost_params);
-    QueryOptimizer opt_pool(inst.query, inst.catalog, inst.cost_params);
-    const PlanBouquet b_threads =
-        BuildBouquet(d_threads, &opt_threads, inst.bouquet_params);
-    const PlanBouquet b_pool =
-        BuildBouquet(d_pool, &opt_pool, inst.bouquet_params);
-    if (!BouquetsIdentical(bouquet, b_threads, &why) ||
-        !BouquetsIdentical(bouquet, b_pool, &why)) {
-      Fail(&r, "bouquet not invariant to POSP sharding: " + why);
       return r;
     }
   }

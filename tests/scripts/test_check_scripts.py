@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Unit tests for the CI checker scripts in scripts/.
 
-Each checker guards a CI job; a checker that silently passes bad input is a
+Each checker guards a gate; a checker that silently passes bad input is a
 gate that rotted open, and one that rejects good input blocks CI for no
 reason. These tests drive every checker as a subprocess — the same
-interface CI uses — against crafted passing and failing inputs and assert
-on the exit code plus the specific failure text, so a checker that starts
-failing for the WRONG reason is also caught.
+interface the gates use — against crafted passing and failing inputs and
+assert on the exit code plus the specific failure text, so a checker that
+starts failing for the WRONG reason is also caught.
 
-Covered: check_compile_smoke.py, check_serve_smoke.py, check_exec_smoke.py,
-check_storage_smoke.py, check_feedback_smoke.py, check_trace_schema.py,
+Covered: check_smoke.py (one class per smoke bench, each passing case run
+against the committed bench/baselines/*_smoke.json rules; malformed input
+in the serve and storage classes), check_trace_schema.py,
 check_lint_fixtures.py.
 Stdlib only (unittest); registered in ctest as test_check_scripts.
 """
@@ -24,6 +25,7 @@ import unittest
 
 REPO = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
 SCRIPTS = os.path.join(REPO, "scripts")
+BASELINES = os.path.join(REPO, "bench", "baselines")
 
 
 def run_checker(script, *args):
@@ -68,51 +70,79 @@ class CheckerTestCase(unittest.TestCase):
                       f"{proc.stderr}")
 
 
-class CompileSmokeTest(CheckerTestCase):
+def committed(smoke):
+    with open(os.path.join(BASELINES, f"{smoke}_smoke.json")) as f:
+        return json.load(f)
+
+
+def with_bound(baseline, field, bound):
+    """A copy of baseline whose rules on field use a fixture bound."""
+    doc = copy.deepcopy(baseline)
+    rules = [r for r in doc["rules"] if r["field"] == field]
+    assert rules, f"no rule on {field}"
+    for rule in rules:
+        rule["bound"] = bound
+    return doc
+
+
+class SmokeTestCase(CheckerTestCase):
+    """Runs check_smoke.py. The baseline defaults to the committed rules of
+    `smoke`, so a broken committed rule fails the passing case here."""
+    smoke = None
+
+    def check(self, bench, baseline=None):
+        return run_checker("check_smoke.py",
+                           self.write_json("bench.json", bench),
+                           self.write_json("baseline.json",
+                                           baseline or committed(self.smoke)))
+
+    def assert_named_failure(self, proc, *needles):
+        """Malformed input fails by name: never a traceback or a pass."""
+        for needle in needles:
+            self.assert_fail(proc, needle)
+        self.assertNotIn("Traceback", proc.stderr)
+
+
+class CompileSmokeTest(SmokeTestCase):
+    smoke = "compile"
+    DP_CALLS = "templates.2D_H_Q8a_res100.incremental.dp_calls"
+
     def bench(self):
         return {"templates": [{
-            "name": "posp_2d_res100",
+            "name": "2D_H_Q8a_res100",
             "points": 100,
             "incremental": {"dp_calls": 50, "audit_failures": 0},
             "memoryless": {"dp_calls": 100},
         }]}
 
-    def baseline(self):
-        return {"templates": [{"name": "posp_2d_res100",
-                               "max_dp_calls": 60}]}
-
-    def check(self, bench, baseline):
-        return run_checker("check_compile_smoke.py",
-                           self.write_json("bench.json", bench),
-                           self.write_json("baseline.json", baseline))
-
     def test_passes_within_ceiling(self):
-        self.assert_pass(self.check(self.bench(), self.baseline()))
+        self.assert_pass(self.check(self.bench()))
 
     def test_fails_on_dp_call_regression(self):
         bench = self.bench()
         bench["templates"][0]["incremental"]["dp_calls"] = 61
-        self.assert_fail(self.check(bench, self.baseline()),
-                         "fast-path coverage regressed")
+        self.assert_fail(
+            self.check(bench, with_bound(committed("compile"),
+                                         self.DP_CALLS, 60)),
+            "fast-path coverage regressed")
 
     def test_fails_on_audit_failures(self):
         bench = self.bench()
         bench["templates"][0]["incremental"]["audit_failures"] = 2
-        self.assert_fail(self.check(bench, self.baseline()),
-                         "audit")
+        self.assert_fail(self.check(bench), "audit")
 
     def test_fails_when_memoryless_skips_points(self):
         bench = self.bench()
         bench["templates"][0]["memoryless"]["dp_calls"] = 99
-        self.assert_fail(self.check(bench, self.baseline()),
-                         "not memoryless")
+        self.assert_fail(self.check(bench), "not memoryless")
 
     def test_fails_on_missing_template(self):
-        self.assert_fail(self.check({"templates": []}, self.baseline()),
-                         "missing")
+        self.assert_fail(self.check({"templates": []}), "missing")
 
 
-class ServeSmokeTest(CheckerTestCase):
+class ServeSmokeTest(SmokeTestCase):
+    smoke = "serve"
+
     def bench(self):
         return {
             "serve": {"requests": 200, "completed": 200, "errors": 0,
@@ -123,172 +153,171 @@ class ServeSmokeTest(CheckerTestCase):
                          "max_queue_depth": 8, "compilations": 2},
         }
 
-    def baseline(self):
-        return {"serve": {"max_compilations": 4, "min_mean_batch_size": 2.0,
-                          "min_qps": 100.0},
-                "overload": {"min_degraded": 10}}
-
-    def check(self, bench, baseline):
-        return run_checker("check_serve_smoke.py",
-                           self.write_json("bench.json", bench),
-                           self.write_json("baseline.json", baseline))
-
     def test_passes_healthy_serve(self):
-        self.assert_pass(self.check(self.bench(), self.baseline()))
+        self.assert_pass(self.check(self.bench()))
 
     def test_fails_on_compile_storm(self):
         bench = self.bench()
         bench["serve"]["compilations"] = 50
-        self.assert_fail(self.check(bench, self.baseline()),
-                         "amortization broke")
+        self.assert_fail(self.check(bench), "amortization broke")
 
     def test_fails_on_queue_bound_violation(self):
         bench = self.bench()
         bench["overload"]["peak_queue_depth"] = 9
-        self.assert_fail(self.check(bench, self.baseline()),
-                         "queue bound")
+        self.assert_fail(self.check(bench), "queue bound")
 
     def test_fails_when_shedding_never_engages(self):
         bench = self.bench()
         bench["overload"]["degraded"] = bench["overload"]["shed"] = 0
-        self.assert_fail(self.check(bench, self.baseline()),
-                         "shedding never engaged")
+        self.assert_fail(self.check(bench), "shedding never engaged")
 
     def test_fails_on_shed_accounting_divergence(self):
         bench = self.bench()
         bench["overload"]["shed"] = bench["overload"]["degraded"] - 1
-        self.assert_fail(self.check(bench, self.baseline()),
-                         "shed accounting diverged")
+        self.assert_fail(self.check(bench), "shed accounting diverged")
+
+    def test_fails_on_one_extra_compile_under_overload(self):
+        # overload.compilations is cumulative over the same service: one
+        # compile more than the serve phase is a compile under overload,
+        # even while both stay under the serve ceiling.
+        bench = self.bench()
+        bench["serve"]["compilations"] = 1
+        bench["overload"]["compilations"] = 2
+        self.assert_fail(self.check(bench),
+                         "safe-plan path triggered compiles")
+
+    def test_missing_section_names_each_field(self):
+        bench = self.bench()
+        del bench["overload"]
+        self.assert_named_failure(self.check(bench),
+                                  "FAIL: overload.completed: missing",
+                                  "FAIL: overload.compilations: missing")
+
+    def test_unknown_comparison_is_malformed(self):
+        baseline = committed("serve")
+        baseline["rules"][0]["op"] = "=~"
+        self.assert_named_failure(self.check(self.bench(), baseline),
+                                  "rule 0: unknown comparison '=~'")
+
+    def test_baseline_without_rules_fails(self):
+        for baseline in ({"description": "x", "rules": []},
+                         {"description": "x"},
+                         {"rules": {"serve.errors": 0}}):
+            self.assert_named_failure(self.check(self.bench(), baseline),
+                                      "'rules' must be a non-empty list")
 
 
-class ExecSmokeTest(CheckerTestCase):
+class ExecSmokeTest(SmokeTestCase):
+    smoke = "exec"
+
     def bench(self):
         section = {"scalar_seconds": 0.1, "batch_seconds": 0.02,
-                   "speedup": 5.0, "rows_emitted": 1234,
+                   "speedup": 5.0, "rows_emitted": 1199,
                    "charged_bit_equal": True, "rows_equal": True}
         pipeline = dict(section, rows_emitted=9503, tape_bytes_per_row=14.3)
         return {"scan": copy.deepcopy(section),
-                "join": copy.deepcopy(section),
+                "join": dict(section, rows_emitted=1088),
                 "pipeline": pipeline}
 
-    def baseline(self):
-        floor = {"expected_rows": 1234, "min_speedup": 1.5}
-        return {"scan": dict(floor), "join": dict(floor),
-                "pipeline": {"expected_rows": 9503, "min_speedup": 1.5,
-                             "max_tape_bytes_per_row": 20.0}}
-
-    def check(self, bench, baseline):
-        return run_checker("check_exec_smoke.py",
-                           self.write_json("bench.json", bench),
-                           self.write_json("baseline.json", baseline))
-
     def test_passes_bit_equal_fast(self):
-        self.assert_pass(self.check(self.bench(), self.baseline()))
+        self.assert_pass(self.check(self.bench()))
 
     def test_fails_on_charge_divergence(self):
         bench = self.bench()
         bench["join"]["charged_bit_equal"] = False
-        self.assert_fail(self.check(bench, self.baseline()),
-                         "no longer bit-exact")
+        self.assert_fail(self.check(bench), "no longer bit-exact")
 
     def test_fails_on_row_drift(self):
         bench = self.bench()
         bench["scan"]["rows_emitted"] = 1233
-        self.assert_fail(self.check(bench, self.baseline()),
-                         "deterministic result drifted")
+        self.assert_fail(self.check(bench), "deterministic result drifted")
 
     def test_fails_on_speedup_collapse(self):
         bench = self.bench()
         bench["scan"]["speedup"] = 1.0
-        self.assert_fail(self.check(bench, self.baseline()),
-                         "throughput")
+        self.assert_fail(self.check(bench), "throughput")
 
     def test_fails_on_pipeline_charge_divergence(self):
         bench = self.bench()
         bench["pipeline"]["charged_bit_equal"] = False
-        self.assert_fail(self.check(bench, self.baseline()),
-                         "pipeline: charged cost diverged")
+        self.assert_fail(self.check(bench),
+                         "pipeline.charged_bit_equal = false")
 
     def test_fails_on_pipeline_row_mismatch(self):
         bench = self.bench()
         bench["pipeline"]["rows_equal"] = False
-        self.assert_fail(self.check(bench, self.baseline()),
-                         "pipeline: engines emitted different row counts")
+        self.assert_fail(self.check(bench), "pipeline.rows_equal = false")
 
     def test_fails_on_pipeline_row_drift(self):
         bench = self.bench()
         bench["pipeline"]["rows_emitted"] = 9502
-        self.assert_fail(self.check(bench, self.baseline()),
-                         "pipeline: 9502 rows emitted")
+        self.assert_fail(self.check(bench), "pipeline.rows_emitted = 9502")
 
     def test_fails_on_pipeline_speedup_collapse(self):
         bench = self.bench()
         bench["pipeline"]["speedup"] = 1.2
-        self.assert_fail(self.check(bench, self.baseline()),
-                         "pipeline: speedup")
+        self.assert_fail(self.check(bench), "pipeline.speedup = 1.2")
 
     def test_fails_when_tape_grows(self):
         bench = self.bench()
         bench["pipeline"]["tape_bytes_per_row"] = 78.9
-        self.assert_fail(self.check(bench, self.baseline()),
-                         "metering tape grew")
+        self.assert_fail(self.check(bench), "metering tape grew")
 
     def test_fails_when_pipeline_section_missing(self):
         bench = self.bench()
         del bench["pipeline"]
-        self.assert_fail(self.check(bench, self.baseline()),
-                         "pipeline: section missing")
+        self.assert_fail(self.check(bench),
+                         "pipeline.charged_bit_equal: missing")
 
 
-class StorageSmokeTest(CheckerTestCase):
+class StorageSmokeTest(SmokeTestCase):
+    smoke = "storage"
+
     def bench(self):
         return {
             "pool_pages": 64, "dataset_pages": 512,
             "reexec": {"ratio_lru": 3.0, "ratio_2q": 3.2,
-                       "rows_emitted": 777},
+                       "rows_emitted": 3464},
             "scan_mix": {"lru_over_2q": 1.4},
             "parity": {"charged_bit_equal": True, "rows_equal": True,
                        "accounting_exact": True},
         }
 
-    def baseline(self):
-        return {"reexec": {"min_ratio": 2.0, "expected_rows": 777},
-                "scan_mix": {"min_lru_over_2q": 1.1}}
-
-    def check(self, bench, baseline):
-        return run_checker("check_storage_smoke.py",
-                           self.write_json("bench.json", bench),
-                           self.write_json("baseline.json", baseline))
-
     def test_passes_healthy_storage(self):
-        self.assert_pass(self.check(self.bench(), self.baseline()))
+        self.assert_pass(self.check(self.bench()))
 
     def test_fails_when_dataset_fits_in_pool(self):
         bench = self.bench()
         bench["dataset_pages"] = 255
-        self.assert_fail(self.check(bench, self.baseline()),
-                         "no longer exceed the pool")
+        self.assert_fail(self.check(bench), "no longer exceed the pool")
 
     def test_fails_on_cache_ratio_collapse(self):
         bench = self.bench()
         bench["reexec"]["ratio_2q"] = 1.5
-        self.assert_fail(self.check(bench, self.baseline()),
-                         "re-execution re-reads")
+        self.assert_fail(self.check(bench), "re-execution re-reads")
 
     def test_fails_on_scan_resistance_loss(self):
         bench = self.bench()
         bench["scan_mix"]["lru_over_2q"] = 1.0
-        self.assert_fail(self.check(bench, self.baseline()),
-                         "scan resistance")
+        self.assert_fail(self.check(bench), "scan resistance")
 
     def test_fails_on_accounting_mismatch(self):
         bench = self.bench()
         bench["parity"]["accounting_exact"] = False
-        self.assert_fail(self.check(bench, self.baseline()),
-                         "accounting_exact")
+        self.assert_fail(self.check(bench), "accounting_exact")
+
+    def test_missing_section_names_each_field(self):
+        bench = self.bench()
+        del bench["parity"]
+        self.assert_named_failure(self.check(bench),
+                                  "FAIL: parity.charged_bit_equal: missing",
+                                  "FAIL: parity.rows_equal: missing",
+                                  "FAIL: parity.accounting_exact: missing")
 
 
-class FeedbackSmokeTest(CheckerTestCase):
+class FeedbackSmokeTest(SmokeTestCase):
+    smoke = "feedback"
+
     def bench(self):
         return {
             "warm": {"requests": 6, "feedback_records": 6,
@@ -308,64 +337,44 @@ class FeedbackSmokeTest(CheckerTestCase):
                 for p in ("native", "seer", "parqo", "pao", "bouquet")],
         }
 
-    def baseline(self):
-        return {"warm": {"min_warm_runs": 1, "min_contours_skipped": 1},
-                "shrink": {"full_points": 1600},
-                "oracle": {"min_runs": 1000},
-                "shootout": {"policies": ["native", "seer", "parqo", "pao",
-                                          "bouquet"],
-                             "max_bouquet_mso": 12.0}}
-
-    def check(self, bench, baseline):
-        return run_checker("check_feedback_smoke.py",
-                           self.write_json("bench.json", bench),
-                           self.write_json("baseline.json", baseline))
-
     def test_passes_healthy_feedback_loop(self):
-        self.assert_pass(self.check(self.bench(), self.baseline()))
+        self.assert_pass(self.check(self.bench()))
 
     def test_fails_when_warm_starts_vanish(self):
         bench = self.bench()
         bench["warm"]["warm_runs"] = 0
-        self.assert_fail(self.check(bench, self.baseline()),
-                         "no longer warm-starts")
+        self.assert_fail(self.check(bench), "no longer warm-starts")
 
     def test_fails_on_result_divergence(self):
         bench = self.bench()
         bench["warm"]["rows_identical"] = False
-        self.assert_fail(self.check(bench, self.baseline()),
-                         "changed the query result")
+        self.assert_fail(self.check(bench), "changed the query result")
 
     def test_fails_when_shrink_saves_nothing(self):
         bench = self.bench()
         bench["shrink"]["shrunken_dp_calls"] = bench["shrink"]["full_dp_calls"]
-        self.assert_fail(self.check(bench, self.baseline()),
-                         "no longer saves compile work")
+        self.assert_fail(self.check(bench), "no longer saves compile work")
 
     def test_fails_on_oracle_violation(self):
         bench = self.bench()
         bench["oracle"]["violations"] = 2
-        self.assert_fail(self.check(bench, self.baseline()),
-                         "Theorem 3 bound")
+        self.assert_fail(self.check(bench), "Theorem 3 bound")
 
     def test_fails_on_missing_policy(self):
         bench = self.bench()
         bench["shootout"] = [r for r in bench["shootout"]
                              if r["policy"] != "pao"]
-        self.assert_fail(self.check(bench, self.baseline()),
-                         "missing policies")
+        self.assert_fail(self.check(bench), "missing policies")
 
     def test_fails_on_nonfinite_metric(self):
         bench = self.bench()
         bench["shootout"][0]["mso"] = None
-        self.assert_fail(self.check(bench, self.baseline()),
-                         "not finite")
+        self.assert_fail(self.check(bench), "not finite")
 
     def test_fails_on_bouquet_mso_blowup(self):
         bench = self.bench()
         bench["shootout"][-1]["mso"] = 50.0
-        self.assert_fail(self.check(bench, self.baseline()),
-                         "robustness edge")
+        self.assert_fail(self.check(bench), "robustness edge")
 
 
 class TraceSchemaTest(CheckerTestCase):

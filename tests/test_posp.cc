@@ -114,12 +114,15 @@ TEST_F(PospTest, AuditSamplingRunsAndPasses) {
 
 TEST_F(PospTest, ParallelEqualsSerial) {
   const PlanDiagram serial =
-      GeneratePosp(query_, catalog_, CostParams::Postgres(), grid_,
-                   PospOptions{1});
+      GeneratePosp(query_, catalog_, CostParams::Postgres(), grid_);
+  ThreadPool pool(4);
   PospOptions par;
-  par.num_threads = 4;
-  const PlanDiagram parallel =
-      GeneratePosp(query_, catalog_, CostParams::Postgres(), grid_, par);
+  par.pool = &pool;
+  par.min_shard_points = 8;
+  PospStats stats;
+  const PlanDiagram parallel = GeneratePosp(
+      query_, catalog_, CostParams::Postgres(), grid_, par, &stats);
+  EXPECT_GT(stats.shards, 1);
   for (uint64_t i = 0; i < grid_.num_points(); ++i) {
     EXPECT_DOUBLE_EQ(serial.cost_at(i), parallel.cost_at(i));
     EXPECT_EQ(serial.plan(serial.plan_at(i)).signature,

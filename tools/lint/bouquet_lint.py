@@ -30,7 +30,7 @@ The checks encode repo-specific invariants the MSO guarantee depends on
                             MetricsRegistry::Get{Counter,Gauge,Histogram}
                             must appear in scripts/trace_schema.json, so
                             schema drift fails at analysis time instead of
-                            in the runtime trace-schema CI job.
+                            in the runtime smoke_trace gate.
 
 Statement-level escapes use clang-tidy comment syntax, which this engine
 honors too: `// NOLINT(bouquet-…): reason` and `// NOLINTNEXTLINE(bouquet-…)`.
@@ -474,7 +474,7 @@ def check_trace_name(src, findings, schema):
                 report(findings, src, lit.start(), "bouquet-trace-name",
                        f'{what} name "{lit.group(1)}" is not in '
                        "scripts/trace_schema.json; add it to the schema "
-                       "(and teach the trace-schema CI job) or fix the typo")
+                       "(and teach the smoke_trace gate) or fix the typo")
 
 
 # --------------------------------------------------------------------------
