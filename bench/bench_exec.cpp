@@ -180,7 +180,7 @@ Comparison Compare(const ExecBench& bench, const PlanNode& plan,
       Measurement& m = engine == ExecEngine::kScalar ? c.scalar : c.batch;
       ExecContext ctx = bench.MakeContext(batch_size, pipeline);
       const auto t0 = std::chrono::steady_clock::now();
-      const ExecutionOutcome out = ExecutePlanWith(
+      const ExecutionOutcome out = ExecutePlan(
           engine, plan, &ctx, std::numeric_limits<double>::infinity(),
           /*results=*/nullptr);
       const double secs =
@@ -204,7 +204,8 @@ double TapeBytes(const ExecBench& bench, const PlanNode& plan,
   obs::Tracer tracer(1 << 10);
   ExecContext ctx = bench.MakeContext(batch_size, /*pipeline=*/true);
   ctx.tracer = &tracer;
-  ExecutePlanBatch(plan, &ctx, std::numeric_limits<double>::infinity());
+  ExecutePlan(ExecEngine::kBatch, plan, &ctx,
+              std::numeric_limits<double>::infinity());
   for (const obs::TraceEvent& ev : tracer.Snapshot()) {
     if (ev.name != "exec.batch") continue;
     for (const auto& [key, value] : ev.num_attrs) {

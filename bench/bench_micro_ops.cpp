@@ -123,7 +123,8 @@ void BM_ExecutorHashJoinThroughput(benchmark::State& state) {
     ctx.db = &db;
     ctx.cost_model = &opt.cost_model();
     const ExecutionOutcome out = ExecutePlan(
-        *plan.root, &ctx, std::numeric_limits<double>::infinity(), nullptr);
+        ExecEngine::kScalar, *plan.root, &ctx,
+        std::numeric_limits<double>::infinity(), nullptr);
     rows = out.rows_emitted;
     benchmark::DoNotOptimize(out);
   }

@@ -166,7 +166,7 @@ Totals RunReexec(Session* s, ExecEngine engine) {
     for (int k = 1; k <= 8; ++k) {
       s->query.filters[0].constant = static_cast<int64_t>(3 * k + 1) * s->rpp;
       ExecContext ctx = s->MakeContext(1024);
-      const ExecutionOutcome out = ExecutePlanWith(
+      const ExecutionOutcome out = ExecutePlan(
           engine, *plan, &ctx, std::numeric_limits<double>::infinity(),
           nullptr);
       Accumulate(&t, out);
@@ -195,7 +195,7 @@ Totals RunScanMix(Session* s, ExecEngine engine) {
   const auto t0 = std::chrono::steady_clock::now();
   auto run = [&](const PlanNode& plan) {
     ExecContext ctx = s->MakeContext(1024);
-    Accumulate(&t, ExecutePlanWith(engine, plan, &ctx, inf, nullptr));
+    Accumulate(&t, ExecutePlan(engine, plan, &ctx, inf, nullptr));
   };
   run(*hot);
   run(*burst);

@@ -241,6 +241,11 @@ int main(int argc, char** argv) {
   }
   server.Wait();
   if (!trace_path.empty()) {
+    const Status exported = server.trace_export_status();
+    if (!exported.ok()) {
+      std::printf("trace export failed: %s\n", exported.ToString().c_str());
+      return 1;
+    }
     std::printf("trace written to %s\n", trace_path.c_str());
   }
   return completed == 0 ? 1 : 0;

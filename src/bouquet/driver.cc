@@ -121,8 +121,8 @@ class ExecutorBackend : public StepBackend {
     ctx.trace_id = span.trace_id();
     const auto t1 = WallNow();
     const ExecutionOutcome out =
-        spilled ? ExecuteSpilledWith(engine_, root, &ctx, budget)
-                : ExecutePlanWith(engine_, root, &ctx, budget, rows);
+        spilled ? ExecuteSpilled(engine_, root, &ctx, budget)
+                : ExecutePlan(engine_, root, &ctx, budget, rows);
     step->wall_seconds =
         std::chrono::duration<double>(WallNow() - t1).count();
     step->charged = out.cost_charged;

@@ -68,8 +68,8 @@ PlanNodeRef ReadNode(std::istream& in, Status* status) {
   node->est_cost = std::strtod(cost_hex.c_str(), nullptr);
   node->width = std::strtod(width_hex.c_str(), nullptr);
   node->filter_idxs.resize(nf);
-  for (size_t i = 0; i < nf; ++i) {
-    if (!(in >> node->filter_idxs[i])) {
+  for (int& f : node->filter_idxs) {
+    if (!(in >> f)) {
       *status = Status::Internal("truncated filter list");
       return nullptr;
     }
@@ -79,8 +79,8 @@ PlanNodeRef ReadNode(std::istream& in, Status* status) {
     return nullptr;
   }
   node->join_idxs.resize(nj);
-  for (size_t i = 0; i < nj; ++i) {
-    if (!(in >> node->join_idxs[i])) {
+  for (int& j : node->join_idxs) {
+    if (!(in >> j)) {
       *status = Status::Internal("truncated join list");
       return nullptr;
     }

@@ -8,10 +8,6 @@
 #include <limits>
 #include <unordered_map>
 
-#include "executor/binding.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
-#include "optimizer/plan_signature.h"
 #include "storage/buffer_manager.h"
 #include "storage/paged_table.h"
 
@@ -161,21 +157,10 @@ bool BatchOp::ReplayCharge(double unit) {
   return st_->Replay(phase_);
 }
 
-int BatchOp::FindColumn(int table_idx, int col_idx) const {
-  for (size_t i = 0; i < schema_.size(); ++i) {
-    if (schema_[i].table_idx == table_idx && schema_[i].col_idx == col_idx) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
-}
-
 namespace {
 
-using exec_internal::BoundEquality;
 using exec_internal::BoundFilter;
 using exec_internal::EvalFilterValue;
-using exec_internal::FilterToRange;
 
 // ---------------------------------------------------------------------------
 // Selection-vector kernels. Sequential scans normalize every comparison to
@@ -342,33 +327,14 @@ inline uint64_t HashKey(int64_t k) {
 
 class BatchSeqScanOp : public BatchOp {
  public:
-  BatchSeqScanOp(const PlanNode* node, BatchExecState* st,
-                 std::vector<BoundFilter> filters)
-      : BatchOp(node, st) {
-    ExecContext* ctx = st->ctx();
-    const std::string& tname = ctx->query->tables[node->table_idx];
-    table_ = &ctx->db->table(tname);
-    paged_ = ctx->db->paged(tname);
-    const TableInfo& info = ctx->catalog->GetTable(tname);
-    const auto& p = ctx->cost_model->params();
-    // The charge prices every bound filter, whether or not the normalized
-    // form below still needs to evaluate it — same formula as the scalar
-    // scan, which likewise charges independently of short-circuiting.
+  BatchSeqScanOp(const BoundNode& b, BatchExecState* st)
+      : BatchOp(b, st), table_(b.table), paged_(b.paged) {
+    // Paged storage: I/O rides the tape as kPageSeq events priced at
+    // replay; the bound per-row charge is the pure CPU part.
     if (paged_ != nullptr) {
-      // Paged storage: I/O rides the tape as kPageSeq events priced at
-      // replay; the per-row charge is the pure CPU part (same expression
-      // grouping as the scalar SeqScanOp).
-      nrows_ = paged_->num_rows();
-      per_row_charge_ =
-          p.cpu_tuple_cost + filters.size() * p.cpu_operator_cost;
       st->SetBuffer(paged_->buffer());
       scratch_.resize(static_cast<size_t>(table_->num_columns()) *
                       static_cast<size_t>(paged_->rows_per_page()));
-    } else {
-      nrows_ = table_->num_rows();
-      per_row_charge_ =
-          p.seq_page_cost * info.stats.row_width_bytes / p.page_size_bytes +
-          p.cpu_tuple_cost + filters.size() * p.cpu_operator_cost;
     }
     // Conjunctive predicates on the same column intersect into one range
     // (a BETWEEN pair costs the kernels a single window test). The scalar
@@ -379,8 +345,11 @@ class BatchSeqScanOp : public BatchOp {
       int64_t lo;
       int64_t hi;
     };
+    // The charge prices every bound filter, whether or not the normalized
+    // form still needs to evaluate it — as the scalar scan charges
+    // independently of short-circuiting.
     std::vector<ColRange> merged;
-    for (const BoundFilter& f : filters) {
+    for (const BoundFilter& f : b.filters) {
       int64_t lo = INT64_MIN;
       int64_t hi = INT64_MAX;
       switch (f.op) {
@@ -428,9 +397,6 @@ class BatchSeqScanOp : public BatchOp {
           {c.pos, c.lo,
            static_cast<uint64_t>(c.hi) - static_cast<uint64_t>(c.lo) + 1});
     }
-    for (int c = 0; c < table_->num_columns(); ++c) {
-      schema_.push_back({node->table_idx, c});
-    }
   }
 
   ExecResult NextBatch(ColumnBatch* out) override {
@@ -443,7 +409,8 @@ class BatchSeqScanOp : public BatchOp {
     }
     const int bsz = std::max(1, st_->ctx()->batch_size);
     const int ncols = table_->num_columns();
-    const int64_t nrows = nrows_;
+    const int64_t nrows = b_.nrows;
+    const double per_row_charge = b_.per_row_charge;
     while (out->n < bsz) {
       if (next_row_ >= nrows) {
         guard_ = storage::PageGuard();
@@ -518,13 +485,13 @@ class BatchSeqScanOp : public BatchOp {
       int32_t prev = -1;
       for (int k = 0; k < m; ++k) {
         const int32_t i = sel_[k];
-        out->tape.Scan(slot_, per_row_charge_,
+        out->tape.Scan(slot_, per_row_charge,
                        static_cast<uint32_t>(i - prev));
         out->EmitRow(slot_);
         prev = i;
       }
       if (chunk - 1 > prev) {
-        out->tape.Scan(slot_, per_row_charge_,
+        out->tape.Scan(slot_, per_row_charge,
                        static_cast<uint32_t>(chunk - 1 - prev));
       }
       for (int c = 0; c < ncols; ++c) {
@@ -544,8 +511,6 @@ class BatchSeqScanOp : public BatchOp {
   const storage::PagedTable* paged_;
   std::vector<RangePred> ranges_;
   bool never_match_ = false;
-  double per_row_charge_;
-  int64_t nrows_;
   int64_t next_row_ = 0;
   uint32_t emitted_page_ = 0;  // page 0 is meta — never a data page
   uint32_t decoded_page_ = 0;
@@ -561,33 +526,13 @@ class BatchSeqScanOp : public BatchOp {
 
 class BatchIndexScanOp : public BatchOp {
  public:
-  BatchIndexScanOp(const PlanNode* node, BatchExecState* st,
-                   std::vector<BoundFilter> filters, int64_t qual_lo,
-                   int64_t qual_hi, int qual_col)
-      : BatchOp(node, st), filters_(std::move(filters)) {
-    ExecContext* ctx = st->ctx();
-    const std::string& tname = ctx->query->tables[node->table_idx];
-    table_ = &ctx->db->table(tname);
-    paged_ = ctx->db->paged(tname);
-    nrows_ = paged_ != nullptr ? paged_->num_rows() : table_->num_rows();
-    matches_ = ctx->db->sorted_index(tname, qual_col).Range(qual_lo, qual_hi);
-    const auto& p = ctx->cost_model->params();
-    per_match_ = p.random_page_cost + p.cpu_index_tuple_cost +
-                 p.cpu_tuple_cost +
-                 (filters_.size() > 0 ? filters_.size() - 1 : 0) *
-                     p.cpu_operator_cost;
-    // Paged split (same expression grouping as the scalar IndexScanOp): the
-    // random page part becomes a kPageRand event per match, priced at
-    // replay; the CPU part stays a per-match tape charge.
-    per_match_cpu_ =
-        p.cpu_index_tuple_cost + p.cpu_tuple_cost +
-        (filters_.size() > 0 ? filters_.size() - 1 : 0) * p.cpu_operator_cost;
+  BatchIndexScanOp(const BoundNode& b, BatchExecState* st)
+      : BatchOp(b, st), table_(b.table), paged_(b.paged) {
+    // Paged storage: the random page part of each match becomes a kPageRand
+    // event priced at replay; the CPU part stays a per-match tape charge.
     if (paged_ != nullptr) {
       st->SetBuffer(paged_->buffer());
       row_buf_.resize(table_->num_columns());
-    }
-    for (int c = 0; c < table_->num_columns(); ++c) {
-      schema_.push_back({node->table_idx, c});
     }
   }
 
@@ -599,49 +544,46 @@ class BatchIndexScanOp : public BatchOp {
       st_->TouchSlot(slot_);
       touched_ = true;
     }
-    const auto& p = st_->ctx()->cost_model->params();
     if (!descent_charged_) {
       descent_charged_ = true;
-      out->tape.Charge(slot_,
-                       p.random_page_cost +
-                           4.0 * p.cpu_operator_cost *
-                               std::log2(nrows_ + 2.0));
+      out->tape.Charge(slot_, b_.descent);
     }
     const int bsz = std::max(1, st_->ctx()->batch_size);
     const int ncols = table_->num_columns();
     if (paged_ != nullptr) return NextBatchPaged(out, bsz, ncols);
+    const double per_match = b_.per_match;
     while (out->n < bsz) {
-      if (next_ >= matches_.size()) {
+      if (next_ >= b_.matches.size()) {
         out->tape.Finish(slot_);
         return ExecResult::kDone;
       }
       const size_t base = next_;
       const int chunk = static_cast<int>(std::min<size_t>(
-          static_cast<size_t>(bsz - out->n), matches_.size() - base));
+          static_cast<size_t>(bsz - out->n), b_.matches.size() - base));
       next_ += static_cast<size_t>(chunk);
-      const uint32_t* idx = matches_.data() + base;
+      const uint32_t* idx = b_.matches.data() + base;
       sel_.resize(static_cast<size_t>(chunk));
       int m;
-      if (filters_.empty()) {
+      if (b_.filters.empty()) {
         m = chunk;
         for (int i = 0; i < chunk; ++i) sel_[i] = i;
       } else {
-        m = SelInitIdx(table_->column(filters_[0].pos).data(), idx, chunk,
-                       filters_[0], sel_.data());
-        for (size_t fi = 1; fi < filters_.size(); ++fi) {
-          m = SelRefineIdx(table_->column(filters_[fi].pos).data(), idx,
-                           filters_[fi], sel_.data(), m);
+        m = SelInitIdx(table_->column(b_.filters[0].pos).data(), idx, chunk,
+                       b_.filters[0], sel_.data());
+        for (size_t fi = 1; fi < b_.filters.size(); ++fi) {
+          m = SelRefineIdx(table_->column(b_.filters[fi].pos).data(), idx,
+                           b_.filters[fi], sel_.data(), m);
         }
       }
       int32_t prev = -1;
       for (int k = 0; k < m; ++k) {
         const int32_t i = sel_[k];
-        out->tape.Scan(slot_, per_match_, static_cast<uint32_t>(i - prev));
+        out->tape.Scan(slot_, per_match, static_cast<uint32_t>(i - prev));
         out->EmitRow(slot_);
         prev = i;
       }
       if (chunk - 1 > prev) {
-        out->tape.Scan(slot_, per_match_,
+        out->tape.Scan(slot_, per_match,
                        static_cast<uint32_t>(chunk - 1 - prev));
       }
       for (int c = 0; c < ncols; ++c) {
@@ -663,16 +605,17 @@ class BatchIndexScanOp : public BatchOp {
   // out of a pinned page. Tape order per match — page event, scan charge,
   // then the emit for survivors — mirrors the scalar charge order.
   ExecResult NextBatchPaged(ColumnBatch* out, int bsz, int ncols) {
+    const double per_match_cpu = b_.per_match_cpu;
     while (out->n < bsz) {
-      if (next_ >= matches_.size()) {
+      if (next_ >= b_.matches.size()) {
         guard_ = storage::PageGuard();
         out->tape.Finish(slot_);
         return ExecResult::kDone;
       }
-      const uint32_t r = matches_[next_++];
+      const uint32_t r = b_.matches[next_++];
       const storage::PageId pid = paged_->PageIdOfRow(r);
       out->tape.PageRand(slot_, pid.file, pid.page);
-      out->tape.Scan(slot_, per_match_cpu_, 1);
+      out->tape.Scan(slot_, per_match_cpu, 1);
       if (!guard_.valid() || cur_page_ != pid.page) {
         guard_ = paged_->buffer()->Pin(pid);
         cur_page_ = pid.page;
@@ -682,7 +625,7 @@ class BatchIndexScanOp : public BatchOp {
         row_buf_[c] = paged_->ValueIn(guard_, slot_in_page, c);
       }
       bool pass = true;
-      for (const auto& f : filters_) {
+      for (const auto& f : b_.filters) {
         if (!EvalFilterValue(row_buf_[f.pos], f)) {
           pass = false;
           break;
@@ -697,11 +640,6 @@ class BatchIndexScanOp : public BatchOp {
 
   const DataTable* table_;
   const storage::PagedTable* paged_;
-  int64_t nrows_;
-  std::vector<BoundFilter> filters_;
-  std::vector<uint32_t> matches_;
-  double per_match_;
-  double per_match_cpu_;
   size_t next_ = 0;
   bool descent_charged_ = false;
   uint32_t cur_page_ = 0;  // page 0 is meta — never a data page
@@ -716,21 +654,11 @@ class BatchIndexScanOp : public BatchOp {
 
 class BatchHashJoinOp : public BatchOp {
  public:
-  BatchHashJoinOp(const PlanNode* node, BatchExecState* st,
-                  std::unique_ptr<BatchOp> left, std::unique_ptr<BatchOp> right,
-                  int left_key_pos, int right_key_pos,
-                  std::vector<BoundEquality> residual)
-      : BatchOp(node, st),
-        left_(std::move(left)),
-        right_(std::move(right)),
-        left_key_pos_(left_key_pos),
-        right_key_pos_(right_key_pos),
-        residual_(std::move(residual)) {
-    schema_ = left_->schema();
-    schema_.insert(schema_.end(), right_->schema().begin(),
-                   right_->schema().end());
-    lbatch_.Configure(left_->schema().size());
-    rbatch_.Configure(right_->schema().size());
+  BatchHashJoinOp(const BoundNode& b, BatchExecState* st,
+                  std::unique_ptr<BatchOp> left, std::unique_ptr<BatchOp> right)
+      : BatchOp(b, st), left_(std::move(left)), right_(std::move(right)) {
+    lbatch_.Configure(b.left->schema.size());
+    rbatch_.Configure(b.right->schema.size());
   }
 
   ExecResult NextBatch(ColumnBatch* out) override {
@@ -765,7 +693,7 @@ class BatchHashJoinOp : public BatchOp {
   ExecResult Build() {
     const auto& p = st_->ctx()->cost_model->params();
     const double hash_op = p.hash_op_factor * p.cpu_operator_cost;
-    const size_t rcols = right_->schema().size();
+    const size_t rcols = b_.right->schema.size();
     bcols_.assign(rcols, {});
     int64_t build_rows = 0;
     for (;;) {
@@ -802,7 +730,7 @@ class BatchHashJoinOp : public BatchOp {
     mask_ = nb - 1;
     head_.assign(nb, -1);
     next_.resize(static_cast<size_t>(build_rows));
-    const int64_t* keys = bcols_[right_key_pos_].data();
+    const int64_t* keys = bcols_[b_.right_key_pos].data();
     for (int64_t i = build_rows - 1; i >= 0; --i) {
       const size_t b = HashKey(keys[i]) & mask_;
       next_[i] = head_[b];
@@ -819,11 +747,12 @@ class BatchHashJoinOp : public BatchOp {
     const auto& p = st_->ctx()->cost_model->params();
     const double hash_op = p.hash_op_factor * p.cpu_operator_cost;
     const double probe_charge = hash_op + probe_spill_charge_;
-    const int lw = static_cast<int>(left_->schema().size());
-    const size_t rw = right_->schema().size();
+    const int lw = static_cast<int>(b_.left->schema.size());
+    const size_t rw = b_.right->schema.size();
     const int64_t* lkeys =
-        lbatch_.n > 0 ? lbatch_.cols[left_key_pos_].data() : nullptr;
-    const int64_t* bkeys = next_.empty() ? nullptr : bcols_[right_key_pos_].data();
+        lbatch_.n > 0 ? lbatch_.cols[b_.left_key_pos].data() : nullptr;
+    const int64_t* bkeys =
+        next_.empty() ? nullptr : bcols_[b_.right_key_pos].data();
     match_l_.clear();
     match_b_.clear();
     out->tape.set_input(&lbatch_.tape);
@@ -833,7 +762,7 @@ class BatchHashJoinOp : public BatchOp {
       for (int32_t i = head_[HashKey(key) & mask_]; i >= 0; i = next_[i]) {
         if (bkeys[i] != key) continue;
         bool ok = true;
-        for (const auto& eq : residual_) {
+        for (const auto& eq : b_.residual) {
           if (Combined(j, i, eq.left_pos, lw) !=
               Combined(j, i, eq.right_pos, lw)) {
             ok = false;
@@ -872,9 +801,6 @@ class BatchHashJoinOp : public BatchOp {
 
   std::unique_ptr<BatchOp> left_;
   std::unique_ptr<BatchOp> right_;
-  int left_key_pos_;
-  int right_key_pos_;  // within the right child's own row
-  std::vector<BoundEquality> residual_;
 
   bool built_ = false;
   double probe_spill_charge_ = 0.0;
@@ -892,20 +818,10 @@ class BatchHashJoinOp : public BatchOp {
 
 class BatchMergeJoinOp : public BatchOp {
  public:
-  BatchMergeJoinOp(const PlanNode* node, BatchExecState* st,
+  BatchMergeJoinOp(const BoundNode& b, BatchExecState* st,
                    std::unique_ptr<BatchOp> left,
-                   std::unique_ptr<BatchOp> right, int left_key_pos,
-                   int right_key_pos, std::vector<BoundEquality> residual)
-      : BatchOp(node, st),
-        left_(std::move(left)),
-        right_(std::move(right)),
-        left_key_pos_(left_key_pos),
-        right_key_pos_(right_key_pos),
-        residual_(std::move(residual)) {
-    schema_ = left_->schema();
-    schema_.insert(schema_.end(), right_->schema().begin(),
-                   right_->schema().end());
-  }
+                   std::unique_ptr<BatchOp> right)
+      : BatchOp(b, st), left_(std::move(left)), right_(std::move(right)) {}
 
   ExecResult NextBatch(ColumnBatch* out) override {
     if (st_->aborted() || st_->ctx()->meter.exhausted()) {
@@ -923,11 +839,12 @@ class BatchMergeJoinOp : public BatchOp {
   }
 
  private:
-  ExecResult DrainSide(BatchOp* side, std::vector<std::vector<int64_t>>* cols,
+  ExecResult DrainSide(BatchOp* side, size_t width,
+                       std::vector<std::vector<int64_t>>* cols,
                        int64_t* nrows) {
-    cols->assign(side->schema().size(), {});
+    cols->assign(width, {});
     ColumnBatch in;
-    in.Configure(side->schema().size());
+    in.Configure(width);
     for (;;) {
       in.Reset();
       const ExecResult st = side->NextBatch(&in);
@@ -961,42 +878,43 @@ class BatchMergeJoinOp : public BatchOp {
   }
 
   ExecResult DrainAndSort() {
-    if (DrainSide(left_.get(), &lcols_, &nl_) == ExecResult::kAborted) {
+    const size_t lcols = b_.left->schema.size();
+    const size_t rcols = b_.right->schema.size();
+    if (DrainSide(left_.get(), lcols, &lcols_, &nl_) == ExecResult::kAborted) {
       return ExecResult::kAborted;
     }
-    if (DrainSide(right_.get(), &rcols_, &nr_) == ExecResult::kAborted) {
+    if (DrainSide(right_.get(), rcols, &rcols_, &nr_) ==
+        ExecResult::kAborted) {
       return ExecResult::kAborted;
     }
-    const double lw =
-        8.0 * static_cast<double>(nl_ == 0 ? size_t{1} : left_->schema().size());
-    const double rw = 8.0 * static_cast<double>(
-                                nr_ == 0 ? size_t{1} : right_->schema().size());
+    const double lw = 8.0 * static_cast<double>(nl_ == 0 ? size_t{1} : lcols);
+    const double rw = 8.0 * static_cast<double>(nr_ == 0 ? size_t{1} : rcols);
     double charge = 0.0;
     const CostModel* cm = st_->ctx()->cost_model;
-    if (!node_->left_presorted) {
+    if (!b_.node->left_presorted) {
       charge += cm->SortCost(static_cast<double>(nl_), lw);
-      SortSide(&lcols_, left_key_pos_, nl_);
+      SortSide(&lcols_, b_.left_key_pos, nl_);
     }
-    if (!node_->right_presorted) {
+    if (!b_.node->right_presorted) {
       charge += cm->SortCost(static_cast<double>(nr_), rw);
-      SortSide(&rcols_, right_key_pos_, nr_);
+      SortSide(&rcols_, b_.right_key_pos, nr_);
     }
     // The scalar engine charges the (possibly zero) sort total in one call.
     return ReplayCharge(charge) ? ExecResult::kDone : ExecResult::kAborted;
   }
 
   int64_t Combined(int64_t li, int64_t rj, int pos) const {
-    const int lw = static_cast<int>(left_->schema().size());
+    const int lw = static_cast<int>(b_.left->schema.size());
     return pos < lw ? lcols_[pos][li] : rcols_[pos - lw][rj];
   }
 
   ExecResult EmitMerge(ColumnBatch* out) {
     const auto& p = st_->ctx()->cost_model->params();
     const int bsz = std::max(1, st_->ctx()->batch_size);
-    const int lw = static_cast<int>(left_->schema().size());
-    const int rw = static_cast<int>(right_->schema().size());
-    const int64_t* lkey = nl_ > 0 ? lcols_[left_key_pos_].data() : nullptr;
-    const int64_t* rkey = nr_ > 0 ? rcols_[right_key_pos_].data() : nullptr;
+    const int lw = static_cast<int>(b_.left->schema.size());
+    const int rw = static_cast<int>(b_.right->schema.size());
+    const int64_t* lkey = nl_ > 0 ? lcols_[b_.left_key_pos].data() : nullptr;
+    const int64_t* rkey = nr_ > 0 ? rcols_[b_.right_key_pos].data() : nullptr;
     // Two-pass (see BatchHashJoinOp::ProbeBatch): the emit loop records
     // matched row pairs; columns materialize in one gather per column right
     // before handing the batch back.
@@ -1031,7 +949,7 @@ class BatchMergeJoinOp : public BatchOp {
           }
           const int64_t rj = gj_++;
           bool ok = true;
-          for (const auto& eq : residual_) {
+          for (const auto& eq : b_.residual) {
             if (Combined(gi_, rj, eq.left_pos) !=
                 Combined(gi_, rj, eq.right_pos)) {
               ok = false;
@@ -1086,9 +1004,6 @@ class BatchMergeJoinOp : public BatchOp {
 
   std::unique_ptr<BatchOp> left_;
   std::unique_ptr<BatchOp> right_;
-  int left_key_pos_;
-  int right_key_pos_;
-  std::vector<BoundEquality> residual_;
 
   bool sorted_ = false;
   std::vector<std::vector<int64_t>> lcols_, rcols_;
@@ -1106,34 +1021,17 @@ class BatchMergeJoinOp : public BatchOp {
 
 class BatchIndexNLJoinOp : public BatchOp {
  public:
-  BatchIndexNLJoinOp(const PlanNode* node, BatchExecState* st,
-                     std::unique_ptr<BatchOp> left, int inner_table_idx,
-                     int inner_key_col, int outer_key_pos,
-                     std::vector<BoundFilter> inner_filters,
-                     std::vector<BoundEquality> residual)
-      : BatchOp(node, st),
-        left_(std::move(left)),
-        inner_key_col_(inner_key_col),
-        outer_key_pos_(outer_key_pos),
-        inner_filters_(std::move(inner_filters)),
-        residual_(std::move(residual)) {
-    ExecContext* ctx = st->ctx();
-    const std::string& tname = ctx->query->tables[inner_table_idx];
-    inner_ = &ctx->db->table(tname);
-    paged_ = ctx->db->paged(tname);
-    inner_rows_ =
-        paged_ != nullptr ? paged_->num_rows() : inner_->num_rows();
-    index_ = &ctx->db->hash_index(tname, inner_key_col_);
-    schema_ = left_->schema();
-    for (int c = 0; c < inner_->num_columns(); ++c) {
-      schema_.push_back({inner_table_idx, c});
-      inner_cols_.push_back(inner_->column(c).data());
+  BatchIndexNLJoinOp(const BoundNode& b, BatchExecState* st,
+                     std::unique_ptr<BatchOp> left)
+      : BatchOp(b, st), left_(std::move(left)), paged_(b.paged) {
+    for (int c = 0; c < b.table->num_columns(); ++c) {
+      inner_cols_.push_back(b.table->column(c).data());
     }
     if (paged_ != nullptr) {
       st->SetBuffer(paged_->buffer());
-      inner_buf_.resize(inner_->num_columns());
+      inner_buf_.resize(b.table->num_columns());
     }
-    lbatch_.Configure(left_->schema().size());
+    lbatch_.Configure(b.left->schema.size());
   }
 
   ExecResult NextBatch(ColumnBatch* out) override {
@@ -1144,19 +1042,12 @@ class BatchIndexNLJoinOp : public BatchOp {
       st_->TouchSlot(slot_);
       touched_ = true;
     }
-    const auto& p = st_->ctx()->cost_model->params();
-    const double descent =
-        p.random_page_cost +
-        4.0 * p.cpu_operator_cost * std::log2(inner_rows_ + 2.0);
-    // Same split as the scalar IndexNLJoinOp (expression grouping mirrored):
-    // paged storage turns the random page part into a kPageRand event.
-    const double per_match =
-        p.random_page_cost + p.cpu_index_tuple_cost +
-        (inner_filters_.size() + residual_.size()) * p.cpu_operator_cost;
-    const double per_match_cpu =
-        p.cpu_index_tuple_cost +
-        (inner_filters_.size() + residual_.size()) * p.cpu_operator_cost;
-    const int lw = static_cast<int>(left_->schema().size());
+    // Paged storage turns the random page part of each match into a
+    // kPageRand event.
+    const double descent = b_.descent;
+    const double per_match = b_.per_match;
+    const double per_match_cpu = b_.per_match_cpu;
+    const int lw = static_cast<int>(b_.left->schema.size());
     const int iw = static_cast<int>(inner_cols_.size());
     // One left batch per call (replay-granularity invariant, batch.h).
     lbatch_.Reset();
@@ -1171,7 +1062,7 @@ class BatchIndexNLJoinOp : public BatchOp {
     out->tape.set_input(&lbatch_.tape);
     for (int64_t j = 0; j < lbatch_.n; ++j) {
       out->tape.SpliceRowCharge(slot_, descent);
-      const auto& matches = index_->Lookup(lbatch_.cols[outer_key_pos_][j]);
+      const auto& matches = b_.index->Lookup(lbatch_.cols[b_.outer_key_pos][j]);
       for (const uint32_t r : matches) {
         if (paged_ != nullptr) {
           const storage::PageId pid = paged_->PageIdOfRow(r);
@@ -1189,7 +1080,7 @@ class BatchIndexNLJoinOp : public BatchOp {
           out->tape.Charge(slot_, per_match);
         }
         bool pass = true;
-        for (const auto& f : inner_filters_) {
+        for (const auto& f : b_.filters) {
           const int64_t v =
               paged_ != nullptr ? inner_buf_[f.pos] : inner_cols_[f.pos][r];
           if (!EvalFilterValue(v, f)) {
@@ -1198,7 +1089,7 @@ class BatchIndexNLJoinOp : public BatchOp {
           }
         }
         if (!pass) continue;
-        for (const auto& eq : residual_) {
+        for (const auto& eq : b_.residual) {
           if (Combined(j, r, eq.left_pos, lw) !=
               Combined(j, r, eq.right_pos, lw)) {
             pass = false;
@@ -1257,15 +1148,7 @@ class BatchIndexNLJoinOp : public BatchOp {
   }
 
   std::unique_ptr<BatchOp> left_;
-  int inner_key_col_;
-  int outer_key_pos_;
-  std::vector<BoundFilter> inner_filters_;
-  std::vector<BoundEquality> residual_;
-
-  const DataTable* inner_;
   const storage::PagedTable* paged_;
-  int64_t inner_rows_;
-  const HashIndex* index_;
   std::vector<const int64_t*> inner_cols_;
   uint32_t cur_page_ = 0;  // page 0 is meta — never a data page
   storage::PageGuard guard_;
@@ -1282,18 +1165,11 @@ class BatchIndexNLJoinOp : public BatchOp {
 
 class BatchMaterialNLJoinOp : public BatchOp {
  public:
-  BatchMaterialNLJoinOp(const PlanNode* node, BatchExecState* st,
+  BatchMaterialNLJoinOp(const BoundNode& b, BatchExecState* st,
                         std::unique_ptr<BatchOp> left,
-                        std::unique_ptr<BatchOp> right,
-                        std::vector<BoundEquality> conditions)
-      : BatchOp(node, st),
-        left_(std::move(left)),
-        right_(std::move(right)),
-        conditions_(std::move(conditions)) {
-    schema_ = left_->schema();
-    schema_.insert(schema_.end(), right_->schema().begin(),
-                   right_->schema().end());
-    lbatch_.Configure(left_->schema().size());
+                        std::unique_ptr<BatchOp> right)
+      : BatchOp(b, st), left_(std::move(left)), right_(std::move(right)) {
+    lbatch_.Configure(b.left->schema.size());
   }
 
   ExecResult NextBatch(ColumnBatch* out) override {
@@ -1309,8 +1185,8 @@ class BatchMaterialNLJoinOp : public BatchOp {
       if (Materialize() == ExecResult::kAborted) return ExecResult::kAborted;
       materialized_ = true;
     }
-    const int lw = static_cast<int>(left_->schema().size());
-    const int rw = static_cast<int>(right_->schema().size());
+    const int lw = static_cast<int>(b_.left->schema.size());
+    const int rw = static_cast<int>(b_.right->schema.size());
     // One left batch per call (replay-granularity invariant, batch.h).
     lbatch_.Reset();
     const ExecResult st = left_->NextBatch(&lbatch_);
@@ -1325,7 +1201,7 @@ class BatchMaterialNLJoinOp : public BatchOp {
       // two inner columns against each other.
       int m = static_cast<int>(ninner);
       for (int64_t i = 0; i < ninner; ++i) sel_[i] = static_cast<int32_t>(i);
-      for (const auto& eq : conditions_) {
+      for (const auto& eq : b_.residual) {
         const int64_t* a_col =
             eq.left_pos < lw ? nullptr : icols_[eq.left_pos - lw].data();
         const int64_t a_const =
@@ -1384,7 +1260,7 @@ class BatchMaterialNLJoinOp : public BatchOp {
  private:
   ExecResult Materialize() {
     const auto& p = st_->ctx()->cost_model->params();
-    const size_t rcols = right_->schema().size();
+    const size_t rcols = b_.right->schema.size();
     icols_.assign(rcols, {});
     ColumnBatch in;
     in.Configure(rcols);
@@ -1404,7 +1280,6 @@ class BatchMaterialNLJoinOp : public BatchOp {
 
   std::unique_ptr<BatchOp> left_;
   std::unique_ptr<BatchOp> right_;
-  std::vector<BoundEquality> conditions_;
 
   bool materialized_ = false;
   std::vector<std::vector<int64_t>> icols_;
@@ -1434,21 +1309,11 @@ struct AggRowHash {
 
 class BatchHashAggregateOp : public BatchOp {
  public:
-  BatchHashAggregateOp(const PlanNode* node, BatchExecState* st,
-                       std::unique_ptr<BatchOp> child,
-                       std::vector<int> group_positions, int agg_position,
-                       AggregateSpec::Func func)
-      : BatchOp(node, st),
+  BatchHashAggregateOp(const BoundNode& b, BatchExecState* st,
+                       std::unique_ptr<BatchOp> child)
+      : BatchOp(b, st),
         child_(std::move(child)),
-        group_positions_(std::move(group_positions)),
-        agg_position_(agg_position),
-        func_(func) {
-    for (int pos : group_positions_) {
-      schema_.push_back(child_->schema()[pos]);
-    }
-    schema_.push_back({-1, -1});  // aggregate value
-    key_buf_.resize(group_positions_.size());
-  }
+        key_buf_(b.group_positions.size()) {}
 
   ExecResult NextBatch(ColumnBatch* out) override {
     if (st_->aborted() || st_->ctx()->meter.exhausted()) {
@@ -1463,7 +1328,7 @@ class BatchHashAggregateOp : public BatchOp {
       built_ = true;
     }
     const int bsz = std::max(1, st_->ctx()->batch_size);
-    const int gcols = static_cast<int>(group_positions_.size());
+    const int gcols = static_cast<int>(b_.group_positions.size());
     while (emit_ != emit_rows_.size() && out->n < bsz) {
       const auto& row = emit_rows_[emit_];
       for (int c = 0; c < gcols; ++c) {
@@ -1485,7 +1350,7 @@ class BatchHashAggregateOp : public BatchOp {
     const auto& p = st_->ctx()->cost_model->params();
     const double hash_op = p.hash_op_factor * p.cpu_operator_cost;
     ColumnBatch in;
-    in.Configure(child_->schema().size());
+    in.Configure(b_.left->schema.size());
     for (;;) {
       in.Reset();
       const ExecResult st = child_->NextBatch(&in);
@@ -1494,13 +1359,13 @@ class BatchHashAggregateOp : public BatchOp {
         return ExecResult::kAborted;
       }
       for (int64_t j = 0; j < in.n; ++j) {
-        for (size_t g = 0; g < group_positions_.size(); ++g) {
-          key_buf_[g] = in.cols[group_positions_[g]][j];
+        for (size_t g = 0; g < b_.group_positions.size(); ++g) {
+          key_buf_[g] = in.cols[b_.group_positions[g]][j];
         }
         const int64_t value =
-            agg_position_ >= 0 ? in.cols[agg_position_][j] : 1;
+            b_.agg_position >= 0 ? in.cols[b_.agg_position][j] : 1;
         auto [it, inserted] = groups_.try_emplace(key_buf_, 0);
-        switch (func_) {
+        switch (b_.func) {
           case AggregateSpec::Func::kCount:
             it->second += 1;
             break;
@@ -1519,8 +1384,8 @@ class BatchHashAggregateOp : public BatchOp {
     }
     // COUNT over empty ungrouped input emits one zero row (SQL semantics),
     // matching the scalar engine.
-    if (groups_.empty() && group_positions_.empty() &&
-        func_ == AggregateSpec::Func::kCount) {
+    if (groups_.empty() && b_.group_positions.empty() &&
+        b_.func == AggregateSpec::Func::kCount) {
       groups_.try_emplace(Row{}, 0);
     }
     // Deterministic emission order, identical to the scalar engine's sort:
@@ -1537,9 +1402,6 @@ class BatchHashAggregateOp : public BatchOp {
   }
 
   std::unique_ptr<BatchOp> child_;
-  std::vector<int> group_positions_;
-  int agg_position_;
-  AggregateSpec::Func func_;
 
   bool built_ = false;
   Row key_buf_;
@@ -1549,361 +1411,38 @@ class BatchHashAggregateOp : public BatchOp {
   size_t emit_ = 0;
 };
 
-// ---------------------------------------------------------------------------
-// Builder — mirrors the scalar Build() in operators.cc line for line; any
-// divergence here would bind predicates to different positions and break
-// charge-sequence equivalence.
-// ---------------------------------------------------------------------------
-
-Result<std::unique_ptr<BatchOp>> BuildBatch(const PlanNode& node,
-                                            BatchExecState* state) {
-  ExecContext* ctx = state->ctx();
-  const QuerySpec& q = *ctx->query;
-
-  if (node.is_aggregate()) {
-    auto child_res = BuildBatch(*node.left, state);
-    if (!child_res.ok()) return child_res.status();
-    std::unique_ptr<BatchOp> child = std::move(child_res.value());
-    const AggregateSpec& spec = q.aggregate;
-    std::vector<int> group_positions;
-    for (const auto& [table, column] : spec.group_by) {
-      const int t = q.TableIndex(table);
-      const int c = ctx->db->table(q.tables[t]).ColumnIndex(column);
-      const int pos = child->FindColumn(t, c);
-      if (pos < 0) return Status::Internal("group-by column not in input");
-      group_positions.push_back(pos);
-    }
-    int agg_position = -1;
-    if (spec.func != AggregateSpec::Func::kCount) {
-      const int t = q.TableIndex(spec.agg_table);
-      const int c = ctx->db->table(q.tables[t]).ColumnIndex(spec.agg_column);
-      agg_position = child->FindColumn(t, c);
-      if (agg_position < 0) {
-        return Status::Internal("aggregate column not in input");
-      }
-    }
-    return std::unique_ptr<BatchOp>(std::make_unique<BatchHashAggregateOp>(
-        &node, state, std::move(child), std::move(group_positions),
-        agg_position, spec.func));
-  }
-
-  if (node.is_scan()) {
-    const std::string& tname = q.tables[node.table_idx];
-    const DataTable& dt = ctx->db->table(tname);
-    std::vector<BoundFilter> filters;
-    for (int f : node.filter_idxs) {
-      const auto& pred = q.filters[f];
-      if (!pred.has_constant()) {
-        return Status::FailedPrecondition(
-            "cannot execute abstract predicate without constant: " +
-            pred.table + "." + pred.column);
-      }
-      const int col = dt.ColumnIndex(pred.column);
-      if (col < 0) return Status::NotFound("column missing in data table");
-      filters.push_back({col, pred.op, pred.constant});
-    }
-    if (node.op == OpType::kIndexScan && node.index_filter >= 0) {
-      const auto& pred = q.filters[node.index_filter];
-      int64_t lo, hi;
-      Status s = FilterToRange(pred, &lo, &hi);
-      if (!s.ok()) return s;
-      const int col = dt.ColumnIndex(pred.column);
-      return std::unique_ptr<BatchOp>(std::make_unique<BatchIndexScanOp>(
-          &node, state, std::move(filters), lo, hi, col));
-    }
-    return std::unique_ptr<BatchOp>(
-        std::make_unique<BatchSeqScanOp>(&node, state, std::move(filters)));
-  }
-
-  // Joins: build the outer child first.
-  auto left_res = BuildBatch(*node.left, state);
-  if (!left_res.ok()) return left_res.status();
-  std::unique_ptr<BatchOp> left = std::move(left_res.value());
-
-  if (node.op == OpType::kIndexNLJoin) {
-    assert(node.index_join >= 0);
-    const auto& jp = q.joins[node.index_join];
-    const int inner_table = node.right->table_idx;
-    const DataTable& inner_dt = ctx->db->table(q.tables[inner_table]);
-    const bool inner_is_left = q.TableIndex(jp.left_table) == inner_table;
-    const std::string& inner_col_name =
-        inner_is_left ? jp.left_column : jp.right_column;
-    const std::string& outer_col_name =
-        inner_is_left ? jp.right_column : jp.left_column;
-    const int outer_table = inner_is_left ? q.TableIndex(jp.right_table)
-                                          : q.TableIndex(jp.left_table);
-    const int inner_key_col = inner_dt.ColumnIndex(inner_col_name);
-    const int outer_key_pos = left->FindColumn(
-        outer_table,
-        ctx->db->table(q.tables[outer_table]).ColumnIndex(outer_col_name));
-    if (inner_key_col < 0 || outer_key_pos < 0) {
-      return Status::Internal("index NL join key binding failed");
-    }
-    std::vector<BoundFilter> inner_filters;
-    for (int f : node.right->filter_idxs) {
-      const auto& pred = q.filters[f];
-      if (!pred.has_constant()) {
-        return Status::FailedPrecondition(
-            "cannot execute abstract predicate without constant: " +
-            pred.table + "." + pred.column);
-      }
-      const int col = inner_dt.ColumnIndex(pred.column);
-      if (col < 0) {
-        return Status::NotFound("column missing in data table: " + pred.table +
-                                "." + pred.column);
-      }
-      inner_filters.push_back({col, pred.op, pred.constant});
-    }
-    std::vector<BoundEquality> residual;
-    const size_t left_width = left->schema().size();
-    for (int j : node.join_idxs) {
-      if (j == node.index_join) continue;
-      const auto& rp = q.joins[j];
-      const int lt = q.TableIndex(rp.left_table);
-      const int rt = q.TableIndex(rp.right_table);
-      const int lcol = ctx->db->table(q.tables[lt]).ColumnIndex(rp.left_column);
-      const int rcol =
-          ctx->db->table(q.tables[rt]).ColumnIndex(rp.right_column);
-      int pos_a = left->FindColumn(lt, lcol);
-      int pos_b = left->FindColumn(rt, rcol);
-      if (pos_a < 0) pos_a = static_cast<int>(left_width) + lcol;  // inner side
-      if (pos_b < 0) pos_b = static_cast<int>(left_width) + rcol;
-      residual.push_back({pos_a, pos_b});
-    }
-    return std::unique_ptr<BatchOp>(std::make_unique<BatchIndexNLJoinOp>(
-        &node, state, std::move(left), inner_table, inner_key_col,
-        outer_key_pos, std::move(inner_filters), std::move(residual)));
-  }
-
-  auto right_res = BuildBatch(*node.right, state);
-  if (!right_res.ok()) return right_res.status();
-  std::unique_ptr<BatchOp> right = std::move(right_res.value());
-
-  const size_t left_width = left->schema().size();
-  auto bind_side = [&](const std::string& table, const std::string& column,
-                       int* pos) -> bool {
-    const int t = q.TableIndex(table);
-    const int c = ctx->db->table(q.tables[t]).ColumnIndex(column);
-    int p = left->FindColumn(t, c);
-    if (p >= 0) {
-      *pos = p;
-      return true;
-    }
-    p = right->FindColumn(t, c);
-    if (p >= 0) {
-      *pos = static_cast<int>(left_width) + p;
-      return false;
-    }
-    *pos = -1;
-    return false;
-  };
-
-  std::vector<BoundEquality> all_conditions;
-  int left_key_pos = -1;
-  int right_key_pos = -1;
-  for (size_t i = 0; i < node.join_idxs.size(); ++i) {
-    const auto& jp = q.joins[node.join_idxs[i]];
-    int pos_l, pos_r;
-    bind_side(jp.left_table, jp.left_column, &pos_l);
-    bind_side(jp.right_table, jp.right_column, &pos_r);
-    if (pos_l < 0 || pos_r < 0) {
-      return Status::Internal("join predicate binding failed");
-    }
-    if (i == 0) {
-      const int a = std::min(pos_l, pos_r);
-      const int b = std::max(pos_l, pos_r);
-      if (a >= static_cast<int>(left_width) ||
-          b < static_cast<int>(left_width)) {
-        return Status::Internal("join key not crossing children");
-      }
-      left_key_pos = a;
-      right_key_pos = b - static_cast<int>(left_width);
-    } else {
-      all_conditions.push_back({pos_l, pos_r});
-    }
-  }
-
-  switch (node.op) {
-    case OpType::kHashJoin:
-      return std::unique_ptr<BatchOp>(std::make_unique<BatchHashJoinOp>(
-          &node, state, std::move(left), std::move(right), left_key_pos,
-          right_key_pos, std::move(all_conditions)));
-    case OpType::kMergeJoin:
-      return std::unique_ptr<BatchOp>(std::make_unique<BatchMergeJoinOp>(
-          &node, state, std::move(left), std::move(right), left_key_pos,
-          right_key_pos, std::move(all_conditions)));
-    case OpType::kMaterialNLJoin: {
-      std::vector<BoundEquality> conds = std::move(all_conditions);
-      conds.push_back(
-          {left_key_pos, right_key_pos + static_cast<int>(left_width)});
-      return std::unique_ptr<BatchOp>(std::make_unique<BatchMaterialNLJoinOp>(
-          &node, state, std::move(left), std::move(right), std::move(conds)));
-    }
-    default:
-      return Status::Internal("unsupported join operator in builder");
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Entry points
-// ---------------------------------------------------------------------------
-
-ExecutionOutcome RunTreeBatch(const PlanNode& root, ExecContext* ctx,
-                              double budget, std::vector<Row>* results,
-                              bool spilled) {
-  ctx->meter.Reset();
-  ctx->meter.set_budget(budget);
-  ctx->instr.Reset();
-  ctx->page_reads_charged = 0;
-  ctx->page_hits_charged = 0;
-
-  // Observability mirrors the scalar RunTree: one "exec.plan" span per
-  // (partial) execution, one "exec.node" child per finished operator.
-  obs::Span exec_span;
-  if (ctx->tracer != nullptr) {
-    exec_span = obs::Tracer::BeginUnder(ctx->tracer, "exec.plan",
-                                        ctx->trace_parent, ctx->trace_id);
-    ctx->instr.EnableTiming(true);
-    obs::Tracer* tracer = ctx->tracer;
-    const uint64_t parent = exec_span.id();
-    const uint64_t trace = exec_span.trace_id();
-    ctx->instr.SetFinishHook(
-        [tracer, parent, trace](const PlanNode* node,
-                                const NodeCounters& nc) {
-          obs::Span s =
-              obs::Tracer::BeginUnder(tracer, "exec.node", parent, trace);
-          s.Num("op", static_cast<double>(static_cast<int>(node->op)))
-              .Num("tuples_out", static_cast<double>(nc.tuples_out))
-              .Num("tuples_scanned", static_cast<double>(nc.tuples_scanned))
-              .Num("node_wall_seconds", nc.wall_seconds);
-          s.End();
-        });
-  } else {
-    ctx->instr.EnableTiming(false);
-    ctx->instr.SetFinishHook(nullptr);
-  }
-
-  ExecutionOutcome out;
-  BatchExecState state(ctx);
-  auto built = BuildBatch(root, &state);
-  if (!built.ok()) {
-    out.status = ExecResult::kAborted;
-    out.build_failed = true;
-    out.build_status = built.status();
-    if (exec_span.enabled()) {
-      exec_span.Flag("build_failed", true)
-          .Str("signature", PlanSignature(root));
-      exec_span.End();
-    }
-    return out;
-  }
-  BatchOp* op = built.value().get();
-  const size_t ncols = op->schema().size();
-  obs::Histogram* fill_hist =
-      ctx->metrics != nullptr
-          ? ctx->metrics->GetHistogram(
-                "bouquet_exec_batch_rows",
-                "Rows per batch produced at the executor root",
-                obs::BatchSizeBuckets())
-          : nullptr;
-
-  storage::StorageManager* sm =
-      ctx->db != nullptr ? ctx->db->storage() : nullptr;
-  std::unique_ptr<storage::SpillWriter> spill;
-  if (spilled && sm != nullptr) {
-    // Mirror the scalar engine: spilled output is jettisoned from the
-    // accounting but physically lands in temp pages through the pool.
-    spill = std::make_unique<storage::SpillWriter>(sm, ncols);
-  }
-
-  ColumnBatch batch;
-  batch.Configure(ncols);
-  int64_t emitted = 0;
-  ExecResult status = ExecResult::kDone;
-  for (;;) {
-    batch.Reset();
-    const ExecResult st = op->NextBatch(&batch);
-    if (st == ExecResult::kAborted) {
-      status = ExecResult::kAborted;
-      break;
-    }
-    int64_t ok_rows = 0;
-    const bool ok = state.Replay(batch.tape, &ok_rows);
-    if (batch.n > 0) {
-      state.batches_produced++;
-      state.rows_produced += batch.n;
-      if (fill_hist != nullptr) {
-        fill_hist->Observe(static_cast<double>(batch.n));
-      }
-    }
-    // Rows whose emit charge did not complete before the abort are data the
-    // scalar engine would never have produced; truncate them.
-    emitted += ok_rows;
-    if (results != nullptr || (spill != nullptr && spill->ok())) {
-      Row r(ncols);
-      for (int64_t i = 0; i < ok_rows; ++i) {
-        for (size_t c = 0; c < ncols; ++c) r[c] = batch.cols[c][i];
-        if (spill != nullptr) {
-          if (spill->ok()) spill->Append(r);
-        } else {
-          results->push_back(r);
-        }
-      }
-    }
-    if (!ok) {
-      status = ExecResult::kAborted;
-      break;
-    }
-    if (st == ExecResult::kDone) break;
-  }
-
-  out.status = status;
-  out.rows_emitted = emitted;
-  out.cost_charged = ctx->meter.charged();
-  out.page_reads = ctx->page_reads_charged;
-  out.page_hits = ctx->page_hits_charged;
-  if (exec_span.enabled()) {
-    obs::Span bspan = obs::Tracer::BeginUnder(ctx->tracer, "exec.batch",
-                                              exec_span.id(),
-                                              exec_span.trace_id());
-    bspan.Num("batch_size", static_cast<double>(ctx->batch_size))
-        .Num("batches", static_cast<double>(state.batches_produced))
-        .Num("batch_rows", static_cast<double>(state.rows_produced))
-        .Num("tape_events", static_cast<double>(state.tape_events))
-        .Num("tape_bytes", static_cast<double>(state.tape_events) *
-                               sizeof(MeterEvent));
-    bspan.End();
-    exec_span.Num("budget", budget)
-        .Num("charged", out.cost_charged)
-        .Num("rows", static_cast<double>(out.rows_emitted))
-        .Num("page_reads", static_cast<double>(out.page_reads))
-        .Num("page_hits", static_cast<double>(out.page_hits))
-        .Flag("completed", out.status == ExecResult::kDone)
-        .Flag("spilled", spilled);
-    exec_span.End();
-  }
-  return out;
-}
-
 }  // namespace
 
-Result<std::unique_ptr<BatchOp>> BuildBatchExecutor(const PlanNode& root,
-                                                    BatchExecState* state) {
-  ExecContext* ctx = state->ctx();
-  assert(ctx->query && ctx->db && ctx->catalog && ctx->cost_model);
-  (void)ctx;
-  return BuildBatch(root, state);
-}
-
-ExecutionOutcome ExecutePlanBatch(const PlanNode& root, ExecContext* ctx,
-                                  double budget, std::vector<Row>* results) {
-  return RunTreeBatch(root, ctx, budget, results, /*spilled=*/false);
-}
-
-ExecutionOutcome ExecuteSpilledBatch(const PlanNode& subtree_root,
-                                     ExecContext* ctx, double budget) {
-  return RunTreeBatch(subtree_root, ctx, budget, /*results=*/nullptr,
-                      /*spilled=*/true);
+std::unique_ptr<BatchOp> BuildBatchExecutor(const BoundNode& b,
+                                            BatchExecState* st) {
+  switch (b.op) {
+    case OpType::kSeqScan:
+      return std::make_unique<BatchSeqScanOp>(b, st);
+    case OpType::kIndexScan:
+      return std::make_unique<BatchIndexScanOp>(b, st);
+    case OpType::kIndexNLJoin:
+      return std::make_unique<BatchIndexNLJoinOp>(
+          b, st, BuildBatchExecutor(*b.left, st));
+    case OpType::kMaterialNLJoin: {
+      auto left = BuildBatchExecutor(*b.left, st);
+      return std::make_unique<BatchMaterialNLJoinOp>(
+          b, st, std::move(left), BuildBatchExecutor(*b.right, st));
+    }
+    case OpType::kHashJoin: {
+      auto left = BuildBatchExecutor(*b.left, st);
+      return std::make_unique<BatchHashJoinOp>(
+          b, st, std::move(left), BuildBatchExecutor(*b.right, st));
+    }
+    case OpType::kMergeJoin: {
+      auto left = BuildBatchExecutor(*b.left, st);
+      return std::make_unique<BatchMergeJoinOp>(
+          b, st, std::move(left), BuildBatchExecutor(*b.right, st));
+    }
+    case OpType::kHashAggregate:
+      return std::make_unique<BatchHashAggregateOp>(
+          b, st, BuildBatchExecutor(*b.left, st));
+  }
+  return nullptr;  // unreachable: every OpType is handled above
 }
 
 }  // namespace bouquet

@@ -1,6 +1,11 @@
 // Vectorized batch-at-a-time executor, bit-compatible with the scalar
 // engine's cost accounting.
 //
+// Operators are built from the same bound plan as the scalar engine's
+// (binding.h: positions, storage and charge units), and executions run
+// through the run loop both engines share (ExecutePlan/ExecuteSpilled in
+// builder.h); what is specific to this engine is below.
+//
 // The data plane works on fixed-size column batches: scans evaluate filters
 // column-wise into selection vectors (branch-light compaction loops), joins
 // build/probe open-addressed chained hash tables over columnar build sides,
@@ -41,9 +46,9 @@
 #include <memory>
 #include <vector>
 
-#include "executor/builder.h"
+#include "executor/binding.h"
 #include "executor/exec_context.h"
-#include "optimizer/plan.h"
+#include "executor/operators.h"
 
 namespace bouquet {
 
@@ -205,8 +210,9 @@ struct ColumnBatch {
 /// Per-execution state shared by a batch operator tree: node-slot registry,
 /// cached counter pointers, the abort latch, and the tape replayer. Create
 /// one per execution, after resetting the context's meter/instrumentation
-/// (the entry points below do this; the registry caches NodeCounters
-/// pointers, so it must not outlive an Instrumentation::Reset).
+/// (ExecutePlan/ExecuteSpilled in builder.h do this; the registry caches
+/// NodeCounters pointers, so it must not outlive an
+/// Instrumentation::Reset).
 class BatchExecState {
  public:
   explicit BatchExecState(ExecContext* ctx) : ctx_(ctx) {}
@@ -299,12 +305,9 @@ class BatchOp {
 
   virtual ExecResult NextBatch(ColumnBatch* out) = 0;
 
-  const std::vector<SchemaCol>& schema() const { return schema_; }
-  int FindColumn(int table_idx, int col_idx) const;
-
  protected:
-  BatchOp(const PlanNode* node, BatchExecState* st)
-      : node_(node), st_(st), slot_(st->Register(node)) {}
+  BatchOp(const BoundNode& b, BatchExecState* st)
+      : b_(b), st_(st), slot_(st->Register(b.node)) {}
 
   /// Eager replay of one batch of a pipeline breaker's phase: each of `in`'s
   /// row segments followed by one charge of `unit`, then `in`'s tail.
@@ -312,33 +315,19 @@ class BatchOp {
   /// Eager replay of one charge of `unit` by this node.
   bool ReplayCharge(double unit);
 
-  const PlanNode* node_;
+  const BoundNode& b_;  ///< positions, storage and charge units
   BatchExecState* st_;
   uint16_t slot_;
-  std::vector<SchemaCol> schema_;
   bool touched_ = false;
 
  private:
   batch_internal::Tape phase_;  ///< scratch for ReplayPhase/ReplayCharge
 };
 
-/// Builds a batch operator tree over `state` (which must outlive the tree).
-/// Binding rules are shared with the scalar builder (executor/binding.h);
-/// failure conditions are identical.
-Result<std::unique_ptr<BatchOp>> BuildBatchExecutor(const PlanNode& root,
-                                                    BatchExecState* state);
-
-/// Batch-engine equivalents of ExecutePlan/ExecuteSpilled: same outcome
-/// semantics, same meter/instrumentation side effects (bit-identical
-/// `cost_charged`, abort points, and per-node counters), same "exec.plan" /
-/// "exec.node" spans plus one "exec.batch" child span summarizing batch
-/// shape, and a `bouquet_exec_batch_rows` histogram when ctx->metrics is
-/// set.
-ExecutionOutcome ExecutePlanBatch(const PlanNode& root, ExecContext* ctx,
-                                  double budget,
-                                  std::vector<Row>* results = nullptr);
-ExecutionOutcome ExecuteSpilledBatch(const PlanNode& subtree_root,
-                                     ExecContext* ctx, double budget);
+/// Builds the batch operator tree of a bound plan (BindPlan) over `state`.
+/// `bound` and `state` must outlive the tree.
+std::unique_ptr<BatchOp> BuildBatchExecutor(const BoundNode& bound,
+                                            BatchExecState* state);
 
 }  // namespace bouquet
 

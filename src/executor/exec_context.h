@@ -74,9 +74,9 @@ struct ExecContext {
   CostMeter meter;
   Instrumentation instr;
   /// Optional observability sink (null = tracing off, zero overhead).
-  /// When set, ExecutePlan/ExecuteSpilled emit an "exec.plan" span under
+  /// When set, ExecutePlan/ExecuteSpilled emit an exec.plan span under
   /// (trace_parent, trace_id) and every finished operator node becomes an
-  /// "exec.node" child span via the instrumentation finish hook.
+  /// exec.node child span via the instrumentation finish hook.
   obs::Tracer* tracer = nullptr;
   uint64_t trace_parent = 0;
   uint64_t trace_id = 0;

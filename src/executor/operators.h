@@ -3,9 +3,9 @@
 // Every Next() call may return kAborted when the context's CostMeter trips;
 // the partial state (instrumentation counters) remains readable afterwards,
 // which is exactly what the bouquet's cost-limited partial executions need.
-// Rows are flat int64 vectors; each operator publishes its output schema as
-// (query-table-index, column-index) pairs so predicates can be bound by the
-// builder.
+// Rows are flat int64 vectors laid out as the bound node's schema (see
+// binding.h); operators take their positions, storage and charge units from
+// the bound tree and compute none of them.
 //
 // Abort resumption contract: once a Next() call has returned kAborted the
 // meter stays tripped, and every further Next() on any operator of the tree
@@ -23,8 +23,8 @@
 #include <utility>
 #include <vector>
 
+#include "executor/binding.h"
 #include "executor/exec_context.h"
-#include "optimizer/plan.h"
 
 namespace bouquet {
 
@@ -35,12 +35,6 @@ enum class ExecResult {
   kRow,      ///< *out holds a row
   kDone,     ///< input exhausted
   kAborted,  ///< cost budget exhausted mid-stream
-};
-
-/// Column slot in an operator's output row.
-struct SchemaCol {
-  int table_idx;  ///< index into QuerySpec::tables
-  int col_idx;    ///< column index within that table
 };
 
 /// Abstract iterator.
@@ -54,28 +48,14 @@ class Operator {
   /// Pulls the next row into *out.
   virtual ExecResult Next(Row* out) = 0;
 
-  const std::vector<SchemaCol>& schema() const { return schema_; }
-
-  /// Position of (table, col) in the output row, or -1.
-  int FindColumn(int table_idx, int col_idx) const;
-
  protected:
   Operator() = default;
-  std::vector<SchemaCol> schema_;
 };
 
-/// Builds an operator tree for (a subtree of) a physical plan against real
-/// data. Fails when a selection predicate lacks a constant (abstract
-/// cost-model-only queries cannot be executed).
-Result<std::unique_ptr<Operator>> BuildExecutor(const PlanNode& root,
-                                                ExecContext* ctx);
-
-/// Drains an operator to completion (or budget exhaustion), materializing at
-/// most `max_rows` result rows into *rows (pass nullptr to count only).
-/// Returns kDone or kAborted; row count is in *emitted.
-ExecResult DrainOperator(Operator* op, std::vector<Row>* rows,
-                         int64_t* emitted,
-                         int64_t max_rows = INT64_MAX);
+/// Builds the operator tree of a bound plan (BindPlan). `bound` and `ctx`
+/// must outlive the tree.
+std::unique_ptr<Operator> BuildExecutor(const BoundNode& bound,
+                                        ExecContext* ctx);
 
 }  // namespace bouquet
 

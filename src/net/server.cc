@@ -189,18 +189,17 @@ void BouquetServer::DrainOutbox(Reactor& reactor) {
   for (uint64_t id : touched) {
     auto it = reactor.conns.find(id);
     if (it == reactor.conns.end()) continue;
-    if (it->second->Flush() == Connection::IoResult::kError) {
+    if (it->second->Flush() == Connection::IoResult::kError ||
+        !UpdateWriteInterest(reactor, *it->second)) {
       CloseConnection(reactor, id);
-    } else {
-      UpdateWriteInterest(reactor, *it->second);
     }
   }
 }
 
-void BouquetServer::UpdateWriteInterest(Reactor& reactor, Connection& conn) {
+bool BouquetServer::UpdateWriteInterest(Reactor& reactor, Connection& conn) {
   const uint32_t events =
       EPOLLIN | (conn.want_write() ? EPOLLOUT : 0u);
-  reactor.loop.Mod(conn.fd(), events, &conn);
+  return reactor.loop.Mod(conn.fd(), events, &conn).ok();
 }
 
 void BouquetServer::CloseConnection(Reactor& reactor, uint64_t conn_id) {
@@ -217,11 +216,10 @@ void BouquetServer::CloseConnection(Reactor& reactor, uint64_t conn_id) {
 void BouquetServer::SendNow(Reactor& reactor, Connection& conn,
                             std::vector<uint8_t> bytes) {
   conn.QueueWrite(std::move(bytes));
-  if (conn.Flush() == Connection::IoResult::kError) {
+  if (conn.Flush() == Connection::IoResult::kError ||
+      !UpdateWriteInterest(reactor, conn)) {
     CloseConnection(reactor, conn.id());
-    return;
   }
-  UpdateWriteInterest(reactor, conn);
 }
 
 void BouquetServer::SendError(Reactor& reactor, Connection& conn,
@@ -265,11 +263,8 @@ void BouquetServer::ReactorLoop(Reactor& reactor) {
         }
       }
       if (!close_conn && (ev.events & EPOLLOUT) != 0) {
-        if (conn->Flush() == Connection::IoResult::kError) {
-          close_conn = true;
-        } else {
-          UpdateWriteInterest(reactor, *conn);
-        }
+        close_conn = conn->Flush() == Connection::IoResult::kError ||
+                     !UpdateWriteInterest(reactor, *conn);
       }
       if (close_conn) CloseConnection(reactor, id);
     }
@@ -566,8 +561,15 @@ void BouquetServer::DoShutdown() {
   }
   // 4. Final trace export (the in-flight record, not just end-of-process).
   if (options_.tracer != nullptr && !options_.trace_path.empty()) {
-    options_.tracer->ExportJsonlFile(options_.trace_path);
+    Status exported = options_.tracer->ExportJsonlFile(options_.trace_path);
+    MutexLock lock(&state_mu_);
+    trace_export_status_ = std::move(exported);
   }
+}
+
+Status BouquetServer::trace_export_status() const {
+  MutexLock lock(&state_mu_);
+  return trace_export_status_;
 }
 
 }  // namespace net

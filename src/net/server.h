@@ -95,6 +95,10 @@ class BouquetServer {
   /// teardown.
   void Wait();
 
+  /// Outcome of the final trace export to ServerOptions::trace_path: Ok
+  /// until a shutdown has written it, the write error if it failed.
+  Status trace_export_status() const;
+
   const RequestRouter& router() const { return *router_; }
 
  private:
@@ -119,8 +123,10 @@ class BouquetServer {
   void HandleFrame(Reactor& reactor, Connection& conn, const Frame& frame);
   void HandleQuery(Reactor& reactor, Connection& conn, const Frame& frame);
   void CloseConnection(Reactor& reactor, uint64_t conn_id);
-  /// Arms/disarms EPOLLOUT to match conn.want_write().
-  void UpdateWriteInterest(Reactor& reactor, Connection& conn);
+  /// Arms/disarms EPOLLOUT to match conn.want_write(). False when the
+  /// interest could not be changed; the caller must then close the
+  /// connection, which could otherwise never be flushed.
+  bool UpdateWriteInterest(Reactor& reactor, Connection& conn);
   /// Reactor-thread send: queue + flush + write-interest update.
   void SendNow(Reactor& reactor, Connection& conn,
                std::vector<uint8_t> bytes);
@@ -169,11 +175,12 @@ class BouquetServer {
   std::atomic<bool> stop_accepting_{false};
 
   // Supervisor handshake: RequestShutdown flags, Wait tears down once.
-  Mutex state_mu_;
+  mutable Mutex state_mu_;
   CondVar state_cv_;
   bool shutdown_requested_ GUARDED_BY(state_mu_) = false;
   bool teardown_claimed_ GUARDED_BY(state_mu_) = false;
   bool shutdown_done_ GUARDED_BY(state_mu_) = false;
+  Status trace_export_status_ GUARDED_BY(state_mu_);
 };
 
 }  // namespace net

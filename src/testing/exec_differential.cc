@@ -219,8 +219,8 @@ RunSnap RunOne(ExecEngine engine, const PlanNode& root, ExecDataset* ds,
 
   RunSnap s;
   const ExecutionOutcome out =
-      spill ? ExecuteSpilledWith(engine, root, &ctx, budget)
-            : ExecutePlanWith(engine, root, &ctx, budget, &s.rows);
+      spill ? ExecuteSpilled(engine, root, &ctx, budget)
+            : ExecutePlan(engine, root, &ctx, budget, &s.rows);
   s.status = static_cast<int>(out.status);
   s.build_failed = out.build_failed;
   s.rows_emitted = out.rows_emitted;

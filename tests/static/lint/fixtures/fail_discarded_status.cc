@@ -1,7 +1,8 @@
 // Negative lint fixture: the (void)-cast loophole bouquet-discarded-status
-// closes. Plain discards of Status/Result are already -Wunused-result
-// warnings via [[nodiscard]]; the cast is the silent escape, so an
-// unjustified cast is a finding and a NOLINT-justified one is not.
+// closes. A plain discard of a Status/Result is already a build error in
+// src/ ([[nodiscard]] plus -Werror=unused-result on the bouquet library);
+// the cast is the silent escape, so an unjustified cast is a finding and a
+// NOLINT-justified one is not.
 // See fail_determinism.cc for the fixture conventions.
 
 #include "common/status.h"

@@ -102,7 +102,8 @@ TEST_F(AggregateTest, ExecutorMatchesReference) {
   ctx.cost_model = &opt_->cost_model();
   std::vector<Row> rows;
   const ExecutionOutcome out = ExecutePlan(
-      *plan.root, &ctx, std::numeric_limits<double>::infinity(), &rows);
+      ExecEngine::kScalar, *plan.root, &ctx,
+      std::numeric_limits<double>::infinity(), &rows);
   ASSERT_EQ(out.status, ExecResult::kDone);
   ASSERT_EQ(rows.size(), expected.size());
   for (const Row& row : rows) {
@@ -127,7 +128,8 @@ TEST_F(AggregateTest, EmissionOrderIsSortedByGroupKey) {
   ctx.cost_model = &opt_->cost_model();
   std::vector<Row> rows;
   const ExecutionOutcome out = ExecutePlan(
-      *plan.root, &ctx, std::numeric_limits<double>::infinity(), &rows);
+      ExecEngine::kScalar, *plan.root, &ctx,
+      std::numeric_limits<double>::infinity(), &rows);
   ASSERT_EQ(out.status, ExecResult::kDone);
   ASSERT_GT(rows.size(), 1u);
   for (size_t i = 1; i < rows.size(); ++i) {
@@ -149,7 +151,8 @@ TEST_F(AggregateTest, CountMinMaxFunctions) {
     const Plan plan = opt.OptimizeAt({0.4, 0.5});
     std::vector<Row> rows;
     const ExecutionOutcome out = ExecutePlan(
-        *plan.root, &ctx, std::numeric_limits<double>::infinity(), &rows);
+        ExecEngine::kScalar, *plan.root, &ctx,
+        std::numeric_limits<double>::infinity(), &rows);
     ASSERT_EQ(out.status, ExecResult::kDone);
     EXPECT_FALSE(rows.empty());
     if (func == AggregateSpec::Func::kMin ||
@@ -177,7 +180,8 @@ TEST_F(AggregateTest, ScalarCountOverEmptyInput) {
   ctx.cost_model = &opt.cost_model();
   std::vector<Row> rows;
   const ExecutionOutcome out = ExecutePlan(
-      *plan.root, &ctx, std::numeric_limits<double>::infinity(), &rows);
+      ExecEngine::kScalar, *plan.root, &ctx,
+      std::numeric_limits<double>::infinity(), &rows);
   ASSERT_EQ(out.status, ExecResult::kDone);
   ASSERT_EQ(rows.size(), 1u);  // COUNT(*) = 0, one row
   EXPECT_EQ(rows[0].back(), 0);

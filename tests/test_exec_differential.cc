@@ -182,18 +182,20 @@ class DegenerateFixture : public ::testing::Test {
     const double inf = std::numeric_limits<double>::infinity();
     ExecContext ref = MakeContext(1024);
     std::vector<Row> ref_rows;
-    const ExecutionOutcome full = ExecutePlan(plan, &ref, inf, &ref_rows);
+    const ExecutionOutcome full = ExecutePlan(ExecEngine::kScalar, plan, &ref,
+                                              inf, &ref_rows);
     std::vector<double> budgets = {inf, full.cost_charged * 0.5,
                                    full.cost_charged * 1e-9};
     for (const double budget : budgets) {
       ExecContext sctx = MakeContext(1024);
       std::vector<Row> srows;
-      const ExecutionOutcome s = ExecutePlan(plan, &sctx, budget, &srows);
+      const ExecutionOutcome s = ExecutePlan(ExecEngine::kScalar, plan, &sctx,
+                                             budget, &srows);
       for (const int bsz : {1, 2, 3, 1024}) {
         ExecContext bctx = MakeContext(bsz);
         std::vector<Row> brows;
-        const ExecutionOutcome b = ExecutePlanBatch(plan, &bctx, budget,
-                                                    &brows);
+        const ExecutionOutcome b = ExecutePlan(ExecEngine::kBatch, plan, &bctx,
+                                               budget, &brows);
         ASSERT_EQ(b.status, s.status) << "budget " << budget;
         ASSERT_EQ(b.cost_charged, s.cost_charged)
             << "budget " << budget << " batch " << bsz;
@@ -318,7 +320,7 @@ class SpliceAbortFixture : public ::testing::Test {
     ctx.cost_model = cm_.get();
     ctx.batch_size = batch_size;
     Snap s;
-    s.out = ExecutePlanWith(engine, *plan_, &ctx, budget, nullptr);
+    s.out = ExecutePlan(engine, *plan_, &ctx, budget, nullptr);
     for (const PlanNode* n : nodes_) {
       const NodeCounters* nc = ctx.instr.Find(n);
       s.present.push_back(nc != nullptr);

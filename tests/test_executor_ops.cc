@@ -74,7 +74,8 @@ class OpsFixture : public ::testing::Test {
   int64_t Run(const PlanNode& root, std::vector<Row>* rows = nullptr) {
     ExecContext ctx = MakeContext();
     const ExecutionOutcome out = ExecutePlan(
-        root, &ctx, std::numeric_limits<double>::infinity(), rows);
+        ExecEngine::kScalar, root, &ctx,
+        std::numeric_limits<double>::infinity(), rows);
     EXPECT_EQ(out.status, ExecResult::kDone);
     return out.rows_emitted;
   }
@@ -184,7 +185,8 @@ TEST_F(OpsFixture, TinyBudgetAbortsAllOperators) {
     const auto plan = Join(op, Scan(OpType::kSeqScan, 0),
                            Scan(OpType::kSeqScan, 1), {0});
     ExecContext ctx = MakeContext();
-    const ExecutionOutcome out = ExecutePlan(*plan, &ctx, 1e-6, nullptr);
+    const ExecutionOutcome out = ExecutePlan(ExecEngine::kScalar, *plan, &ctx,
+                                             1e-6, nullptr);
     EXPECT_EQ(out.status, ExecResult::kAborted) << OpTypeName(op);
   }
 }
@@ -201,7 +203,8 @@ TEST_F(OpsFixture, PresortedMergeJoinCorrectAndCheaper) {
   std::vector<Row> rows_sorting;
   ExecContext ctx1 = MakeContext();
   const ExecutionOutcome sorting = ExecutePlan(
-      *mj, &ctx1, std::numeric_limits<double>::infinity(), &rows_sorting);
+      ExecEngine::kScalar, *mj, &ctx1, std::numeric_limits<double>::infinity(),
+      &rows_sorting);
   ASSERT_EQ(sorting.status, ExecResult::kDone);
 
   auto mj_fast = std::make_shared<PlanNode>(*mj);
@@ -210,8 +213,8 @@ TEST_F(OpsFixture, PresortedMergeJoinCorrectAndCheaper) {
   std::vector<Row> rows_presorted;
   ExecContext ctx2 = MakeContext();
   const ExecutionOutcome presorted =
-      ExecutePlan(*mj_fast, &ctx2, std::numeric_limits<double>::infinity(),
-                  &rows_presorted);
+      ExecutePlan(ExecEngine::kScalar, *mj_fast, &ctx2,
+                  std::numeric_limits<double>::infinity(), &rows_presorted);
   ASSERT_EQ(presorted.status, ExecResult::kDone);
   EXPECT_EQ(rows_presorted.size(), rows_sorting.size());
   EXPECT_EQ(presorted.rows_emitted, kJoinNoFilters);
@@ -222,7 +225,8 @@ TEST_F(OpsFixture, InstrumentationMarksCompletion) {
   const auto plan = Join(OpType::kHashJoin, Scan(OpType::kSeqScan, 0),
                          Scan(OpType::kSeqScan, 1), {0});
   ExecContext ctx = MakeContext();
-  ExecutePlan(*plan, &ctx, std::numeric_limits<double>::infinity(), nullptr);
+  ExecutePlan(ExecEngine::kScalar, *plan, &ctx,
+              std::numeric_limits<double>::infinity(), nullptr);
   const NodeCounters* root_nc = ctx.instr.Find(plan.get());
   ASSERT_NE(root_nc, nullptr);
   EXPECT_TRUE(root_nc->finished);
@@ -236,7 +240,8 @@ TEST_F(OpsFixture, AbortPreservesPartialCounters) {
   const auto plan = Scan(OpType::kSeqScan, 0);
   ExecContext ctx = MakeContext();
   // Budget for roughly two rows' charges.
-  const ExecutionOutcome out = ExecutePlan(*plan, &ctx, 0.025, nullptr);
+  const ExecutionOutcome out = ExecutePlan(ExecEngine::kScalar, *plan, &ctx,
+                                           0.025, nullptr);
   EXPECT_EQ(out.status, ExecResult::kAborted);
   const NodeCounters* nc = ctx.instr.Find(plan.get());
   ASSERT_NE(nc, nullptr);
@@ -265,13 +270,15 @@ TEST_F(OpsFixture, BatchEngineMatchesScalarOnEveryJoinMethod) {
     ExecContext sctx = MakeContext();
     std::vector<Row> srows;
     const ExecutionOutcome s = ExecutePlan(
-        *plan, &sctx, std::numeric_limits<double>::infinity(), &srows);
+        ExecEngine::kScalar, *plan, &sctx,
+        std::numeric_limits<double>::infinity(), &srows);
     for (const int bsz : {1, 3, 1024}) {
       ExecContext bctx = MakeContext();
       bctx.batch_size = bsz;
       std::vector<Row> brows;
-      const ExecutionOutcome b = ExecutePlanBatch(
-          *plan, &bctx, std::numeric_limits<double>::infinity(), &brows);
+      const ExecutionOutcome b = ExecutePlan(
+          ExecEngine::kBatch, *plan, &bctx,
+          std::numeric_limits<double>::infinity(), &brows);
       EXPECT_EQ(b.status, s.status);
       EXPECT_EQ(b.rows_emitted, s.rows_emitted);
       // Bit-exact: the batch engine replays the identical charge sequence.
@@ -288,11 +295,12 @@ TEST_F(OpsFixture, BatchAndScalarNodeCountersIdentical) {
   const auto plan = Join(OpType::kHashJoin, Scan(OpType::kSeqScan, 0),
                          Scan(OpType::kSeqScan, 1, {1}), {0});
   ExecContext sctx = MakeContext();
-  ExecutePlan(*plan, &sctx, std::numeric_limits<double>::infinity(), nullptr);
+  ExecutePlan(ExecEngine::kScalar, *plan, &sctx,
+              std::numeric_limits<double>::infinity(), nullptr);
   ExecContext bctx = MakeContext();
   bctx.batch_size = 2;  // forces multi-batch probing
-  ExecutePlanBatch(*plan, &bctx, std::numeric_limits<double>::infinity(),
-                   nullptr);
+  ExecutePlan(ExecEngine::kBatch, *plan, &bctx,
+              std::numeric_limits<double>::infinity(), nullptr);
   for (const PlanNode* node : CollectNodes(*plan)) {
     const NodeCounters* snc = sctx.instr.Find(node);
     const NodeCounters* bnc = bctx.instr.Find(node);
@@ -311,14 +319,17 @@ TEST_F(OpsFixture, BatchAndScalarAbortAtSameTuple) {
   // match bit-exactly (status, charged, and partial counters).
   ExecContext full = MakeContext();
   const ExecutionOutcome ref = ExecutePlan(
-      *plan, &full, std::numeric_limits<double>::infinity(), nullptr);
+      ExecEngine::kScalar, *plan, &full,
+      std::numeric_limits<double>::infinity(), nullptr);
   for (int i = 1; i <= 20; ++i) {
     const double budget = ref.cost_charged * i / 21.0;
     ExecContext sctx = MakeContext();
-    const ExecutionOutcome s = ExecutePlan(*plan, &sctx, budget, nullptr);
+    const ExecutionOutcome s = ExecutePlan(ExecEngine::kScalar, *plan, &sctx,
+                                           budget, nullptr);
     ExecContext bctx = MakeContext();
     bctx.batch_size = 3;
-    const ExecutionOutcome b = ExecutePlanBatch(*plan, &bctx, budget, nullptr);
+    const ExecutionOutcome b = ExecutePlan(ExecEngine::kBatch, *plan, &bctx,
+                                           budget, nullptr);
     EXPECT_EQ(b.status, s.status) << "budget " << budget;
     EXPECT_EQ(b.cost_charged, s.cost_charged) << "budget " << budget;
     for (const PlanNode* node : CollectNodes(*plan)) {
@@ -343,17 +354,18 @@ TEST_F(OpsFixture, ScalarRepullAfterAbortIsCheckedNoOp) {
   ExecContext ctx = MakeContext();
   ctx.meter.Reset();
   ctx.meter.set_budget(0.05);
-  auto built = BuildExecutor(*plan, &ctx);
-  ASSERT_TRUE(built.ok());
+  auto bound = BindPlan(*plan, ctx);
+  ASSERT_TRUE(bound.ok());
+  const std::unique_ptr<Operator> built = BuildExecutor(**bound, &ctx);
   Row row;
   ExecResult st = ExecResult::kRow;
-  while (st == ExecResult::kRow) st = (*built)->Next(&row);
+  while (st == ExecResult::kRow) st = built->Next(&row);
   ASSERT_EQ(st, ExecResult::kAborted);
   const double charged = ctx.meter.charged();
   const NodeCounters* nc = ctx.instr.Find(plan.get());
   const int64_t out_before = nc != nullptr ? nc->tuples_out : 0;
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ((*built)->Next(&row), ExecResult::kAborted);
+    EXPECT_EQ(built->Next(&row), ExecResult::kAborted);
     EXPECT_EQ(ctx.meter.charged(), charged);  // bit-exact: nothing charged
     nc = ctx.instr.Find(plan.get());
     EXPECT_EQ(nc != nullptr ? nc->tuples_out : 0, out_before);
@@ -371,16 +383,17 @@ TEST_F(OpsFixture, BatchRepullAfterAbortIsCheckedNoOp) {
     ctx.meter.Reset();
     ctx.meter.set_budget(1e-6);
     BatchExecState state(&ctx);
-    auto built = BuildBatchExecutor(*join, &state);
-    ASSERT_TRUE(built.ok());
+    auto bound = BindPlan(*join, ctx);
+    ASSERT_TRUE(bound.ok());
+    const std::unique_ptr<BatchOp> built = BuildBatchExecutor(**bound, &state);
     ColumnBatch batch;
-    batch.Configure((*built)->schema().size());
+    batch.Configure((*bound)->schema.size());
     batch.Reset();
-    ASSERT_EQ((*built)->NextBatch(&batch), ExecResult::kAborted);
+    ASSERT_EQ(built->NextBatch(&batch), ExecResult::kAborted);
     const double charged = ctx.meter.charged();
     for (int i = 0; i < 3; ++i) {
       batch.Reset();
-      EXPECT_EQ((*built)->NextBatch(&batch), ExecResult::kAborted);
+      EXPECT_EQ(built->NextBatch(&batch), ExecResult::kAborted);
       EXPECT_EQ(batch.n, 0u);
       EXPECT_TRUE(batch.tape.empty());
       EXPECT_EQ(ctx.meter.charged(), charged);
@@ -392,18 +405,19 @@ TEST_F(OpsFixture, BatchRepullAfterAbortIsCheckedNoOp) {
     ctx.meter.Reset();
     ctx.meter.set_budget(0.025);
     BatchExecState state(&ctx);
-    auto built = BuildBatchExecutor(*scan, &state);
-    ASSERT_TRUE(built.ok());
+    auto bound = BindPlan(*scan, ctx);
+    ASSERT_TRUE(bound.ok());
+    const std::unique_ptr<BatchOp> built = BuildBatchExecutor(**bound, &state);
     ColumnBatch batch;
-    batch.Configure((*built)->schema().size());
+    batch.Configure((*bound)->schema.size());
     batch.Reset();
-    const ExecResult st = (*built)->NextBatch(&batch);
+    const ExecResult st = built->NextBatch(&batch);
     ASSERT_NE(st, ExecResult::kAborted);  // data plane never trips the meter
     ASSERT_FALSE(state.Replay(batch.tape));  // ...the replay does
     const double charged = ctx.meter.charged();
     for (int i = 0; i < 3; ++i) {
       batch.Reset();
-      EXPECT_EQ((*built)->NextBatch(&batch), ExecResult::kAborted);
+      EXPECT_EQ(built->NextBatch(&batch), ExecResult::kAborted);
       EXPECT_EQ(batch.n, 0u);
       EXPECT_EQ(ctx.meter.charged(), charged);
     }

@@ -3,19 +3,24 @@
 // bounded-memory invariant), Connection partial-read/partial-write
 // resumption over a socketpair, token-bucket and router scheduling
 // semantics (batching, throttling, shedding, drain), the simulator's
-// precompiled MSO-safe plan, and a full loopback client/server integration
-// pass including overload-induced DEGRADED serving.
+// precompiled MSO-safe plan, a full loopback client/server integration
+// pass including overload-induced DEGRADED serving, and the server's
+// handling of a failed write-interest update and a failed trace export.
 
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <functional>
 #include <future>
 #include <random>
 #include <string>
@@ -734,6 +739,109 @@ TEST_F(LoopbackServerTest, OverloadShedsToDegradedSafePlanWithBoundedQueue) {
   (void)client.ShutdownServer();
   server.RequestShutdown();
   server.Wait();
+}
+
+// Polls `done` for up to five seconds.
+bool WaitFor(const std::function<bool()>& done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return true;
+}
+
+// The server side of `client_fd`'s connection: the descriptor (server and
+// client share the process on loopback) whose peer is the client's local
+// address. -1 if there is none.
+int ServerSideFd(int client_fd) {
+  sockaddr_in client{};
+  socklen_t len = sizeof(client);
+  if (getsockname(client_fd, reinterpret_cast<sockaddr*>(&client), &len) !=
+      0) {
+    return -1;
+  }
+  for (int fd = 0; fd < 1024; ++fd) {
+    if (fd == client_fd) continue;
+    sockaddr_in peer{};
+    socklen_t plen = sizeof(peer);
+    if (getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &plen) != 0) {
+      continue;
+    }
+    if (peer.sin_family == AF_INET && peer.sin_port == client.sin_port &&
+        peer.sin_addr.s_addr == client.sin_addr.s_addr) {
+      return fd;
+    }
+  }
+  return -1;
+}
+
+TEST_F(LoopbackServerTest, FailedWriteInterestUpdateClosesConnection) {
+  BouquetService service(catalog_, FastService());
+  ServerOptions sopts = FastServer();
+  sopts.num_reactors = 1;
+  sopts.router.batch_window_ms = 500.0;  // holds the answer back
+  BouquetServer server(&service, sopts);
+  const QuerySpec query = MakeEqQuery(catalog_);
+  ASSERT_TRUE(server.RegisterTemplate(query).ok());
+  ASSERT_TRUE(server.Start().ok());
+  auto client_or = BlockingClient::Connect(server.port());
+  ASSERT_TRUE(client_or.ok()) << client_or.status().ToString();
+  BlockingClient client = std::move(client_or).value();
+  ASSERT_TRUE(client.Hello().ok());  // the reactor has adopted the socket
+  obs::Gauge* open_conns = metrics_.GetGauge("net_connections_open", "");
+  ASSERT_EQ(open_conns->value(), 1.0);
+
+  QueryMsg q;
+  q.request_id = 1;
+  q.template_name = query.name;
+  q.selectivities = {0.05};
+  ASSERT_TRUE(client.SendFrame(EncodeQuery(q)).ok());
+  // Once the router has admitted the QUERY, its answer waits out the batch
+  // window.
+  ASSERT_TRUE(WaitFor([&] { return server.router().stats().admitted == 1; }));
+
+  // Swap the server's socket for one end of a socket pair behind the
+  // reactor's back. Closing the TCP socket drops its epoll registration;
+  // the answer still flushes (into the pair), and the epoll_ctl(MOD) that
+  // follows fails because the new socket was never registered.
+  const int server_fd = ServerSideFd(client.fd());
+  ASSERT_GE(server_fd, 0);
+  int pair[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
+  ASSERT_EQ(dup2(pair[0], server_fd), server_fd);
+  // The swap precedes the dispatch: no batch has left the router yet (the
+  // router lock also orders the swap before the reactor's later close).
+  ASSERT_EQ(server.router().stats().batches, 0u);
+
+  EXPECT_TRUE(WaitFor([&] { return open_conns->value() == 0.0; }))
+      << "connection left open without write interest";
+  char buf[256];
+  EXPECT_GT(recv(pair[1], buf, sizeof(buf), MSG_DONTWAIT), 0)
+      << "the answer was not flushed before the close";
+  close(pair[0]);
+  close(pair[1]);
+  server.RequestShutdown();
+  server.Wait();
+}
+
+TEST_F(LoopbackServerTest, FailedTraceExportIsReported) {
+  // A regular file used as a directory makes the export path unopenable.
+  const std::string not_a_dir = ::testing::TempDir() + "/trace_export_file";
+  std::ofstream(not_a_dir) << "x";
+  BouquetService service(catalog_, FastService());
+  ServerOptions sopts = FastServer();
+  sopts.trace_path = not_a_dir + "/trace.jsonl";
+  BouquetServer server(&service, sopts);
+  ASSERT_TRUE(server.Start().ok());
+  EXPECT_TRUE(server.trace_export_status().ok());
+  server.RequestShutdown();
+  server.Wait();
+  const Status exported = server.trace_export_status();
+  EXPECT_FALSE(exported.ok());
+  EXPECT_NE(exported.message().find(sopts.trace_path), std::string::npos);
+  std::remove(not_a_dir.c_str());
 }
 
 }  // namespace

@@ -368,8 +368,9 @@ TEST(BatchExecObsTest, ExecBatchSpanReportsTapeVolume) {
   ctx.db = &db;
   ctx.cost_model = &cm;
   ctx.tracer = &tracer;
-  const ExecutionOutcome out = ExecutePlanBatch(
-      *plan, &ctx, std::numeric_limits<double>::infinity());
+  const ExecutionOutcome out =
+      ExecutePlan(ExecEngine::kBatch, *plan, &ctx,
+                  std::numeric_limits<double>::infinity());
   ASSERT_EQ(out.status, ExecResult::kDone);
   ASSERT_GT(out.rows_emitted, 0);
 
