@@ -29,7 +29,6 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "net/wire.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "service/service.h"
 #include "service/template_key.h"
@@ -159,20 +158,16 @@ void PrintReproduction() {
               "incremental fast path serves the rest).\n");
 }
 
-// range(0) selects observability: 0 = off — detached sinks must cost only
-// null checks, so this row is the tracer-off overhead budget (<= 2% vs. an
-// uninstrumented build) — 1 = tracer + metrics attached, which pays for
-// span allocation and is expected to be visibly slower on cached requests.
+// range(0) selects the tracer: 0 = off — the service still counts every
+// request into its own registry (one atomic add per event), so this row is
+// the always-on counting cost — 1 = tracer on, which pays for span
+// allocation and is expected to be visibly slower on cached requests.
 void BM_ServiceCachedRequest(benchmark::State& state) {
   const Catalog tpch = MakeTpchCatalog(1.0);
   obs::Tracer tracer(1 << 14);
-  obs::MetricsRegistry metrics;
   ServiceOptions opts;
   opts.num_threads = 4;
-  if (state.range(0) > 0) {
-    opts.tracer = &tracer;
-    opts.metrics = &metrics;
-  }
+  if (state.range(0) > 0) opts.tracer = &tracer;
   BouquetService service(tpch, opts);
   QuerySpec query = MakeEqQuery(tpch);
   ServiceRequest warm;
@@ -191,8 +186,8 @@ void BM_ServiceCachedRequest(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ServiceCachedRequest)
-    ->Arg(0)  // observability off
-    ->Arg(1)  // tracer + metrics on
+    ->Arg(0)  // tracer off
+    ->Arg(1)  // tracer on
     ->Unit(benchmark::kMicrosecond);
 
 void BM_PoolPospCompile3D(benchmark::State& state) {
@@ -302,13 +297,11 @@ bool RunOpenLoopBurst(net::BlockingClient& client, const QuerySpec& query,
 int RunServeSmoke(const char* out_path) {
   const Catalog tpch = MakeTpchCatalog(1.0);
   obs::Tracer tracer(1 << 15);
-  obs::MetricsRegistry metrics;
   ServiceOptions sopts;
   sopts.num_threads = kPoolThreads;
   sopts.grid_resolution = 24;
   sopts.min_shard_points = 1;
   sopts.tracer = &tracer;
-  sopts.metrics = &metrics;
   BouquetService service(tpch, sopts);
   const QuerySpec query = MakeEqQuery(tpch);
 
@@ -323,7 +316,6 @@ int RunServeSmoke(const char* out_path) {
     nopts.router.max_queue_depth = 4096;
     nopts.router.max_inflight_batches = 8;
     nopts.tracer = &tracer;
-    nopts.metrics = &metrics;
     net::BouquetServer server(&service, nopts);
     if (!server.RegisterTemplate(query).ok() || !server.Start().ok()) {
       std::fprintf(stderr, "serve-smoke: server start failed\n");
@@ -366,7 +358,6 @@ int RunServeSmoke(const char* out_path) {
     nopts.router.max_queue_depth = kOverloadQueueBound;
     nopts.router.max_inflight_batches = 1;
     nopts.tracer = &tracer;
-    nopts.metrics = &metrics;
     net::BouquetServer server(&service, nopts);
     if (!server.RegisterTemplate(query).ok() || !server.Start().ok()) {
       std::fprintf(stderr, "serve-smoke: overload server start failed\n");

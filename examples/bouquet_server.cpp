@@ -78,13 +78,11 @@ int main(int argc, char** argv) {
 
   const Catalog catalog = MakeTpchCatalog(1.0);
   obs::Tracer tracer(1 << 16);
-  obs::MetricsRegistry metrics;
 
   ServiceOptions sopts;
   sopts.num_threads = 8;
   sopts.grid_resolution = 24;
   sopts.tracer = &tracer;
-  sopts.metrics = &metrics;
   BouquetService service(catalog, sopts);
 
   ServerOptions nopts;
@@ -96,7 +94,6 @@ int main(int argc, char** argv) {
   nopts.router.max_inflight_batches = 8;
   nopts.trace_path = trace_path;
   nopts.tracer = &tracer;
-  nopts.metrics = &metrics;
   BouquetServer server(&service, nopts);
 
   // Three "forms": same join graph, different error spaces.
@@ -140,8 +137,10 @@ int main(int argc, char** argv) {
     server.Wait();  // SHUTDOWN frames also land here
     g_signal = g_signal == 0 ? SIGTERM : g_signal;
     watcher.join();
-    std::printf("drained; final metrics:\n%s",
-                metrics.ExportPrometheus().c_str());
+    // Each component owns its counts: the service's, then the server's.
+    std::printf("drained; final metrics:\n%s%s",
+                service.metrics().ExportPrometheus().c_str(),
+                server.metrics().ExportPrometheus().c_str());
     return 0;
   }
 

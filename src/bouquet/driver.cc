@@ -46,14 +46,14 @@ class ExecutorBackend : public StepBackend {
   ExecutorBackend(const PlanDiagram& diagram, QueryOptimizer* opt,
                   Database* db, storage::AccessLedger* ledger,
                   ExecEngine engine, obs::Tracer* tracer,
-                  obs::MetricsRegistry* metrics)
+                  obs::Histogram* batch_rows)
       : diagram_(diagram),
         opt_(opt),
         db_(db),
         ledger_(ledger),
         engine_(engine),
         tracer_(tracer),
-        metrics_(metrics) {}
+        batch_rows_(batch_rows) {}
 
   double OptimalCost(const DimVector& qrun) override {
     // The early jump after a step and the early skips that follow ask
@@ -115,7 +115,7 @@ class ExecutorBackend : public StepBackend {
     ctx.db = db_;
     ctx.ledger = ledger_;
     ctx.cost_model = &opt_->cost_model();
-    ctx.metrics = metrics_;
+    ctx.batch_rows = batch_rows_;
     ctx.tracer = tracer_;
     ctx.trace_parent = span.id();
     ctx.trace_id = span.trace_id();
@@ -147,7 +147,7 @@ class ExecutorBackend : public StepBackend {
   storage::AccessLedger* ledger_;
   ExecEngine engine_;
   obs::Tracer* tracer_;
-  obs::MetricsRegistry* metrics_;
+  obs::Histogram* batch_rows_;
   DimVector optimal_at_;  // q_run of the last OptimalCost answer
   double optimal_cost_ = 0.0;
 };
@@ -282,15 +282,22 @@ BouquetDriver::BouquetDriver(const PlanBouquet& bouquet,
 void BouquetDriver::SetObservability(obs::Tracer* tracer,
                                      obs::MetricsRegistry* metrics,
                                      const obs::Span* parent) {
-  metrics_ = metrics;
   obs_ = LadderObs::Under(tracer, parent);
-  ins_ = LadderInstruments::Resolve(metrics);
+  ins_.reset();
+  batch_rows_ = nullptr;
+  if (metrics != nullptr) {
+    ins_ = LadderInstruments::Resolve(*metrics);
+    batch_rows_ = metrics->GetHistogram(
+        "bouquet_exec_batch_rows",
+        "Rows per batch produced at the executor root",
+        obs::BatchSizeBuckets());
+  }
 }
 
 DriverResult BouquetDriver::RunBasic() {
   RunLedger ledger(db_);
   ExecutorBackend backend(*diagram_, opt_, db_, ledger.get(), engine_,
-                          obs_.tracer, metrics_);
+                          obs_.tracer, batch_rows_);
   return RunBasicLadder(*bouquet_, *diagram_, &backend, Obs());
 }
 
@@ -302,7 +309,7 @@ DriverResult BouquetDriver::RunOptimized() {
   }
   RunLedger ledger(db_);
   ExecutorBackend backend(*diagram_, opt_, db_, ledger.get(), engine_,
-                          obs_.tracer, metrics_);
+                          obs_.tracer, batch_rows_);
   return RunOptimizedLadder(*bouquet_, *diagram_, &backend, std::move(lows),
                             warm_start_, Obs());
 }
@@ -321,9 +328,9 @@ DriverResult BouquetDriver::RunSinglePlan(const PlanNode& root) {
   step.plan_id = diagram_->FindPlan(step.plan_signature);
   RunLedger ledger(db_);
   ExecutorBackend backend(*diagram_, opt_, db_, ledger.get(), engine_,
-                          obs_.tracer, metrics_);
+                          obs_.tracer, batch_rows_);
   backend.Exec(root, false, kInf, nullptr, span, &step, &res.rows);
-  ObserveStep(step, &span, &ins_);
+  ObserveStep(step, &span, Obs().ins);
 
   res.completed = step.completed;
   res.total_cost_units = step.charged;

@@ -12,6 +12,8 @@
 #ifndef BOUQUET_BOUQUET_DRIVER_H_
 #define BOUQUET_BOUQUET_DRIVER_H_
 
+#include <optional>
+
 #include "bouquet/bouquet.h"
 #include "bouquet/ladder.h"
 #include "executor/builder.h"
@@ -74,8 +76,10 @@ class BouquetDriver {
 
   /// Attaches observability sinks (either may be null). Spans nest under
   /// `parent` when given (e.g. the service's request span); pass nullptr
-  /// for a self-rooted trace. Metric instruments are resolved once here so
-  /// the run loops only touch pre-bound counters.
+  /// for a self-rooted trace. With a registry (the service passes its own)
+  /// the ladder counts into its bouquet_* run-phase instruments and the
+  /// batch engine into bouquet_exec_batch_rows; they are resolved once here
+  /// so the run loops only touch pre-bound instruments.
   void SetObservability(obs::Tracer* tracer, obs::MetricsRegistry* metrics,
                         const obs::Span* parent = nullptr);
 
@@ -90,7 +94,7 @@ class BouquetDriver {
  private:
   LadderObs Obs() const {
     LadderObs o = obs_;
-    o.ins = &ins_;
+    if (ins_.has_value()) o.ins = &*ins_;
     return o;
   }
 
@@ -100,9 +104,10 @@ class BouquetDriver {
   Database* db_;
   ExecEngine engine_ = ExecEngine::kBatch;
   int warm_start_ = 0;
-  obs::MetricsRegistry* metrics_ = nullptr;
   LadderObs obs_;  ///< tracer and the parent of the run root span
-  LadderInstruments ins_;
+  /// Resolved when a registry is attached; null/empty otherwise.
+  std::optional<LadderInstruments> ins_;
+  obs::Histogram* batch_rows_ = nullptr;
 };
 
 }  // namespace bouquet

@@ -117,8 +117,7 @@ Outcome Ladder::Execute(size_t k, int plan_id, double budget, int learn_dim,
     for (size_t d = 0; d < st->learned.size(); ++d) {
       if (st->learned[d] && !before.learned[d]) ++newly;
     }
-    if (newly > 0 && obs_.ins != nullptr &&
-        obs_.ins->dims_learned != nullptr) {
+    if (newly > 0 && obs_.ins != nullptr) {
       obs_.ins->dims_learned->Inc(static_cast<uint64_t>(newly));
     }
     if (obs_.tracer != nullptr && (newly > 0 || st->qrun != before.qrun)) {
@@ -152,9 +151,7 @@ Outcome Ladder::Execute(size_t k, int plan_id, double budget, int learn_dim,
 
 DriverResult Ladder::Finish(bool fallback, const LadderState* st) {
   res_.fallback_used = fallback;
-  if (fallback && obs_.ins != nullptr && obs_.ins->fallbacks != nullptr) {
-    obs_.ins->fallbacks->Inc();
-  }
+  if (fallback && obs_.ins != nullptr) obs_.ins->fallbacks->Inc();
   if (st != nullptr) res_.discovered_selectivities = st->qrun;
   res_.wall_seconds =
       std::chrono::duration<double>(WallNow() - t0_).count();
@@ -170,10 +167,11 @@ DriverResult Ladder::Finish(bool fallback, const LadderState* st) {
   return std::move(res_);
 }
 
+// One contour advanced past: every path that leaves contour k for k+1
+// comes through here once, so a jump over several contours counts each.
+// Contours a warm start skips are never entered and never counted here.
 void Ladder::Crossing(size_t from_k, const char* why) {
-  if (obs_.ins != nullptr && obs_.ins->contour_crossings != nullptr) {
-    obs_.ins->contour_crossings->Inc();
-  }
+  if (obs_.ins != nullptr) obs_.ins->contour_crossings->Inc();
   if (obs_.tracer != nullptr && why != nullptr) {
     obs::Span ev =
         obs::Tracer::Begin(obs_.tracer, "driver.contour_jump", &run_);
@@ -345,26 +343,25 @@ DriverResult Ladder::Optimized(DimVector seed, int start_contour) {
 
 }  // namespace
 
-LadderInstruments LadderInstruments::Resolve(obs::MetricsRegistry* metrics) {
+LadderInstruments LadderInstruments::Resolve(obs::MetricsRegistry& metrics) {
   LadderInstruments ins;
-  if (metrics == nullptr) return ins;
-  ins.executions = metrics->GetCounter(
-      "bouquet_driver_executions_total",
-      "Plan executions issued by the driver (partial, spill, and final)");
-  ins.contour_crossings = metrics->GetCounter(
-      "bouquet_driver_contour_crossings_total",
-      "Isocost contours abandoned without the query completing");
-  ins.spills = metrics->GetCounter(
-      "bouquet_driver_spills_total",
+  ins.executions = metrics.GetCounter(
+      "bouquet_executions_total",
+      "Plan executions issued (partial, spill, final and safe-plan)");
+  ins.contour_crossings = metrics.GetCounter(
+      "bouquet_contour_crossings_total",
+      "Isocost contours the ladder advanced past without completing");
+  ins.spills = metrics.GetCounter(
+      "bouquet_spills_total",
       "Spill-mode (subtree-only) learning executions");
-  ins.fallbacks = metrics->GetCounter(
-      "bouquet_driver_fallbacks_total",
+  ins.fallbacks = metrics.GetCounter(
+      "bouquet_fallbacks_total",
       "Safety-net unbounded executions after every contour budget was "
       "exhausted");
-  ins.dims_learned = metrics->GetCounter(
+  ins.dims_learned = metrics.GetCounter(
       "bouquet_driver_dims_learned_total",
       "Error dimensions learned exactly from instrumentation counters");
-  ins.budget_utilization = metrics->GetHistogram(
+  ins.budget_utilization = metrics.GetHistogram(
       "bouquet_driver_budget_utilization",
       "charged/budget ratio per budget-limited execution",
       obs::BudgetUtilizationBuckets());
@@ -400,10 +397,9 @@ void ObserveStep(const DriverStep& step, obs::Span* span,
     span->End();
   }
   if (ins == nullptr) return;
-  if (ins->executions != nullptr) ins->executions->Inc();
-  if (step.spilled && ins->spills != nullptr) ins->spills->Inc();
-  if (ins->budget_utilization != nullptr && std::isfinite(step.budget) &&
-      step.budget > 0.0) {
+  ins->executions->Inc();
+  if (step.spilled) ins->spills->Inc();
+  if (std::isfinite(step.budget) && step.budget > 0.0) {
     ins->budget_utilization->Observe(step.charged / step.budget);
   }
 }

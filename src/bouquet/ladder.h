@@ -131,7 +131,9 @@ class StepBackend {
                           std::vector<Row>* rows) = 0;
 };
 
-/// Pre-resolved bouquet_driver_* instruments (all null without a registry).
+/// The run-phase instruments every ladder run counts into, for both
+/// backends: one count per execution, contour crossed, spill and fallback.
+/// Resolved once from the owner's registry; all pointers are non-null.
 struct LadderInstruments {
   obs::Counter* executions = nullptr;
   obs::Counter* contour_crossings = nullptr;
@@ -140,11 +142,12 @@ struct LadderInstruments {
   obs::Counter* dims_learned = nullptr;
   obs::Histogram* budget_utilization = nullptr;
 
-  static LadderInstruments Resolve(obs::MetricsRegistry* metrics);
+  static LadderInstruments Resolve(obs::MetricsRegistry& metrics);
 };
 
 /// Where a ladder reports: its driver.* spans go under `parent_span` of
-/// trace `trace_id` (0/0 = a self-rooted trace), its counters to `ins`.
+/// trace `trace_id` (0/0 = a self-rooted trace), its counts to `ins` (null =
+/// not counted).
 struct LadderObs {
   obs::Tracer* tracer = nullptr;
   uint64_t parent_span = 0;
@@ -156,7 +159,8 @@ struct LadderObs {
                          const LadderInstruments* ins = nullptr);
 };
 
-/// Fills `span` with the step's record, ends it, and updates the metrics.
+/// Fills `span` with the step's record, ends it, and counts the execution
+/// (and its spill) into a non-null `ins`.
 void ObserveStep(const DriverStep& step, obs::Span* span,
                  const LadderInstruments* ins);
 

@@ -251,14 +251,14 @@ SimResult BouquetSimulator::RunSafe(uint64_t qa) const {
 }
 
 SimResult BouquetSimulator::RunOptimized(uint64_t qa) const {
-  return RunOptimizedFrom(qa, diagram_->grid().Origin(), 0, nullptr, nullptr);
+  return RunOptimizedFrom(qa, diagram_->grid().Origin(), 0, {});
 }
 
-SimResult BouquetSimulator::RunOptimizedWarm(uint64_t qa, int start_contour,
-                                             obs::Tracer* tracer,
-                                             const obs::Span* parent) const {
+SimResult BouquetSimulator::RunOptimizedWarm(
+    uint64_t qa, int start_contour, obs::Tracer* tracer,
+    const obs::Span* parent, const LadderInstruments* ins) const {
   return RunOptimizedFrom(qa, diagram_->grid().Origin(), start_contour,
-                          tracer, parent);
+                          LadderObs::Under(tracer, parent, ins));
 }
 
 SimResult BouquetSimulator::RunOptimizedSeeded(uint64_t qa,
@@ -269,20 +269,19 @@ SimResult BouquetSimulator::RunOptimizedSeeded(uint64_t qa,
   for (int d = 0; d < grid.dims(); ++d) {
     on_grid[d] = std::clamp(on_grid[d], 0, grid.resolution(d) - 1);
   }
-  return RunOptimizedFrom(qa, on_grid, 0, nullptr, nullptr);
+  return RunOptimizedFrom(qa, on_grid, 0, {});
 }
 
 SimResult BouquetSimulator::RunOptimizedFrom(uint64_t qa,
                                              const GridPoint& seed,
                                              int start_contour,
-                                             obs::Tracer* tracer,
-                                             const obs::Span* parent) const {
+                                             const LadderObs& obs) const {
   std::vector<GridPoint> trace;
   Surface surface(*this, qa, &trace);
   SimResult res = ToSimResult(
       RunOptimizedLadder(*bouquet_, *diagram_, &surface,
                          diagram_->grid().SelectivityAt(seed), start_contour,
-                         LadderObs::Under(tracer, parent)),
+                         obs),
       static_cast<int>(bouquet_->contours.size()));
   res.qrun_trace = std::move(trace);
   return res;

@@ -26,6 +26,9 @@
 
 namespace bouquet {
 
+struct LadderInstruments;  // bouquet/ladder.h
+struct LadderObs;
+
 /// One cost-limited plan execution in a simulated run.
 struct SimStep {
   int contour = 0;       ///< contour index (0-based)
@@ -114,10 +117,12 @@ class BouquetSimulator {
   /// holds whenever the feedback seed that chose `start_contour` is
   /// dominated by q_a (see feedback/warm_start.h for the clamp argument).
   /// With a tracer, the run emits the ladder's driver.* spans under
-  /// `parent`.
+  /// `parent`; with instruments, the ladder counts its run-phase events
+  /// into them (BouquetService hands over its own).
   SimResult RunOptimizedWarm(uint64_t qa, int start_contour,
                              obs::Tracer* tracer = nullptr,
-                             const obs::Span* parent = nullptr) const;
+                             const obs::Span* parent = nullptr,
+                             const LadderInstruments* ins = nullptr) const;
 
   /// Sub-optimality of a run: total cost / actual optimal cost at q_a.
   double SubOpt(const SimResult& result, uint64_t qa) const;
@@ -138,8 +143,7 @@ class BouquetSimulator {
   int DenseIndex(int plan_id) const;
   double ModelErrorFactor(int plan_id, uint64_t point) const;
   SimResult RunOptimizedFrom(uint64_t qa, const GridPoint& seed,
-                             int start_contour, obs::Tracer* tracer,
-                             const obs::Span* parent) const;
+                             int start_contour, const LadderObs& obs) const;
 
   const PlanBouquet* bouquet_;
   const PlanDiagram* diagram_;

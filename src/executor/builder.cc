@@ -67,13 +67,6 @@ ExecResult DrainBatch(const BoundNode& root, ExecContext* ctx,
   const std::unique_ptr<BatchOp> op = BuildBatchExecutor(root, &state);
   const size_t ncols = root.schema.size();
   RowSink sink(results, spill_to, ncols);
-  obs::Histogram* fill_hist =
-      ctx->metrics != nullptr
-          ? ctx->metrics->GetHistogram(
-                "bouquet_exec_batch_rows",
-                "Rows per batch produced at the executor root",
-                obs::BatchSizeBuckets())
-          : nullptr;
 
   ColumnBatch batch;
   batch.Configure(ncols);
@@ -90,8 +83,8 @@ ExecResult DrainBatch(const BoundNode& root, ExecContext* ctx,
     if (batch.n > 0) {
       state.batches_produced++;
       state.rows_produced += batch.n;
-      if (fill_hist != nullptr) {
-        fill_hist->Observe(static_cast<double>(batch.n));
+      if (ctx->batch_rows != nullptr) {
+        ctx->batch_rows->Observe(static_cast<double>(batch.n));
       }
     }
     // Rows whose emit charge did not complete before the abort are data the

@@ -52,8 +52,8 @@ enum class ExecEngine {
 /// appended to *results when non-null. Resets the context's meter and
 /// instrumentation first (a fresh partial execution; prior intermediate
 /// results are "jettisoned" per the basic bouquet contract). The batch
-/// engine adds one "exec.batch" span summarizing batch shape and, when
-/// ctx->metrics is set, a `bouquet_exec_batch_rows` histogram.
+/// engine adds one "exec.batch" span summarizing batch shape and observes
+/// every root batch's size into ctx->batch_rows when it is set.
 ExecutionOutcome ExecutePlan(ExecEngine engine, const PlanNode& root,
                              ExecContext* ctx, double budget,
                              std::vector<Row>* results = nullptr);

@@ -80,8 +80,9 @@ struct ExecContext {
   obs::Tracer* tracer = nullptr;
   uint64_t trace_parent = 0;
   uint64_t trace_id = 0;
-  /// Optional metrics registry (batch engine only): batch-size histograms.
-  obs::MetricsRegistry* metrics = nullptr;
+  /// Optional rows-per-batch histogram at the plan root (batch engine only;
+  /// null = not observed). Resolved once by the owner, never per run.
+  obs::Histogram* batch_rows = nullptr;
   /// Batch engine: rows per column batch. Any value >= 1 is legal (the
   /// differential harness runs degenerate sizes like 1 and 3); cost
   /// accounting is independent of the choice by construction.

@@ -15,37 +15,39 @@ double NowSeconds(std::chrono::steady_clock::time_point tp) {
 }  // namespace
 
 RequestRouter::RequestRouter(RouterOptions options, BatchExecutor executor,
-                             ShedHandler shed, obs::MetricsRegistry* metrics)
+                             ShedHandler shed)
     : options_(options),
       executor_(std::move(executor)),
       shed_(std::move(shed)) {
-  if (metrics != nullptr) {
-    ins_.requests = metrics->GetCounter(
-        "net_requests_total", "QUERY frames reaching admission control");
-    ins_.throttled = metrics->GetCounter(
-        "net_throttled_total",
-        "Requests rejected by the per-tenant token bucket");
-    ins_.shed = metrics->GetCounter(
-        "net_shed_total",
-        "Requests shed to the MSO-safe plan (queue bound exceeded)");
-    ins_.batches = metrics->GetCounter("net_batches_total",
-                                       "Same-template batches dispatched");
-    ins_.batched_requests = metrics->GetCounter(
-        "net_batched_requests_total", "Requests dispatched inside batches");
-    ins_.queue_depth = metrics->GetGauge(
-        "net_queue_depth", "Admitted requests not yet dispatched");
-    ins_.queue_depth_peak = metrics->GetGauge(
-        "net_queue_depth_peak", "High-water mark of net_queue_depth");
-    ins_.inflight_batches = metrics->GetGauge(
-        "net_inflight_batches", "Batches currently executing on the pool");
-    ins_.batch_size =
-        metrics->GetHistogram("net_batch_size", "Requests per flushed batch",
-                              obs::BatchSizeBuckets());
-    ins_.queue_wait = metrics->GetHistogram(
-        "net_queue_wait_seconds",
-        "Arrival to batch-flush wait (admitted requests)",
-        obs::NetLatencyBuckets());
-  }
+  obs::MetricsRegistry& m = metrics_;
+  ins_.submitted = m.GetCounter("net_requests_total",
+                                "QUERY frames reaching admission control");
+  ins_.admitted = m.GetCounter("net_admitted_total",
+                               "Requests admitted into the tenant queues");
+  ins_.throttled =
+      m.GetCounter("net_throttled_total",
+                   "Requests rejected by the per-tenant token bucket");
+  ins_.shed = m.GetCounter(
+      "net_shed_total",
+      "Requests shed to the MSO-safe plan (queue bound exceeded)");
+  ins_.rejected_draining = m.GetCounter(
+      "net_rejected_draining_total", "Requests refused while draining");
+  ins_.batches =
+      m.GetCounter("net_batches_total", "Same-template batches dispatched");
+  ins_.batched_requests = m.GetCounter("net_batched_requests_total",
+                                       "Requests dispatched inside batches");
+  ins_.queue_depth =
+      m.GetGauge("net_queue_depth", "Admitted requests not yet dispatched");
+  ins_.queue_depth_peak = m.GetGauge("net_queue_depth_peak",
+                                     "High-water mark of net_queue_depth");
+  ins_.inflight_batches = m.GetGauge(
+      "net_inflight_batches", "Batches currently executing on the pool");
+  ins_.batch_size = m.GetHistogram(
+      "net_batch_size", "Requests per flushed batch", obs::BatchSizeBuckets());
+  ins_.queue_wait =
+      m.GetHistogram("net_queue_wait_seconds",
+                     "Arrival to batch-flush wait (admitted requests)",
+                     obs::NetLatencyBuckets());
   dispatcher_ = std::thread([this] { DispatcherLoop(); });
 }
 
@@ -95,11 +97,10 @@ RequestRouter::Tenant& RequestRouter::TenantLocked(uint32_t tenant_id) {
 }
 
 void RequestRouter::UpdateQueueGaugeLocked() {
-  stats_.queue_depth = queued_;
-  if (queued_ > stats_.peak_queue_depth) stats_.peak_queue_depth = queued_;
-  if (ins_.queue_depth != nullptr) {
-    ins_.queue_depth->Set(static_cast<double>(queued_));
-    ins_.queue_depth_peak->Set(static_cast<double>(stats_.peak_queue_depth));
+  const double depth = static_cast<double>(queued_);
+  ins_.queue_depth->Set(depth);
+  if (depth > ins_.queue_depth_peak->value()) {
+    ins_.queue_depth_peak->Set(depth);
   }
 }
 
@@ -116,25 +117,22 @@ void RequestRouter::Submit(RoutedRequest request) {
   Action action;
   {
     MutexLock lock(&mu_);
-    ++stats_.submitted;
-    if (ins_.requests != nullptr) ins_.requests->Inc();
+    ins_.submitted->Inc();
     if (draining_ || stop_) {
       action = Action::kDrainReject;
-      ++stats_.rejected_draining;
+      ins_.rejected_draining->Inc();
     } else {
       Tenant& tenant = TenantLocked(request.query.tenant_id);
       const double now_s = NowSeconds(std::chrono::steady_clock::now());
       if (!tenant.bucket.TryTake(now_s)) {
         action = Action::kThrottled;
-        ++stats_.throttled;
-        if (ins_.throttled != nullptr) ins_.throttled->Inc();
+        ins_.throttled->Inc();
       } else if (queued_ >= options_.max_queue_depth) {
         action = Action::kShed;
-        ++stats_.shed;
-        if (ins_.shed != nullptr) ins_.shed->Inc();
+        ins_.shed->Inc();
       } else {
         action = Action::kQueued;
-        ++stats_.admitted;
+        ins_.admitted->Inc();
         // A tenant returning from idle starts at the current virtual time:
         // no credit is banked while unbacklogged (start-time fair queuing).
         if (tenant.queue.empty()) {
@@ -214,19 +212,14 @@ RequestRouter::TakeFlushableLocked(std::chrono::steady_clock::time_point now,
     }
     const size_t n = batch.requests.size();
     ++inflight_batches_;
-    ++stats_.batches;
-    stats_.batched_requests += n;
-    stats_.inflight_batches = inflight_batches_;
     queued_ -= n;
-    if (ins_.batches != nullptr) {
-      ins_.batches->Inc();
-      ins_.batched_requests->Inc(n);
-      ins_.inflight_batches->Set(inflight_batches_);
-      ins_.batch_size->Observe(static_cast<double>(n));
-      for (const RoutedRequest& req : batch.requests) {
-        ins_.queue_wait->Observe(
-            std::chrono::duration<double>(now - req.arrival).count());
-      }
+    ins_.batches->Inc();
+    ins_.batched_requests->Inc(n);
+    ins_.inflight_batches->Set(inflight_batches_);
+    ins_.batch_size->Observe(static_cast<double>(n));
+    for (const RoutedRequest& req : batch.requests) {
+      ins_.queue_wait->Observe(
+          std::chrono::duration<double>(now - req.arrival).count());
     }
     out.emplace_back(it->first, std::move(batch));
     it = batches_.erase(it);
@@ -279,10 +272,7 @@ void RequestRouter::OnBatchDone() {
   // Wait() until both broadcasts complete.
   MutexLock lock(&mu_);
   --inflight_batches_;
-  stats_.inflight_batches = inflight_batches_;
-  if (ins_.inflight_batches != nullptr) {
-    ins_.inflight_batches->Set(inflight_batches_);
-  }
+  ins_.inflight_batches->Set(inflight_batches_);
   work_cv_.NotifyAll();
   drain_cv_.NotifyAll();
 }
@@ -300,8 +290,19 @@ void RequestRouter::Drain() {
 }
 
 RouterStats RequestRouter::stats() const {
+  RouterStats s;
   MutexLock lock(&mu_);
-  return stats_;
+  s.submitted = ins_.submitted->value();
+  s.admitted = ins_.admitted->value();
+  s.throttled = ins_.throttled->value();
+  s.shed = ins_.shed->value();
+  s.rejected_draining = ins_.rejected_draining->value();
+  s.batches = ins_.batches->value();
+  s.batched_requests = ins_.batched_requests->value();
+  s.queue_depth = static_cast<uint64_t>(ins_.queue_depth->value());
+  s.peak_queue_depth = static_cast<uint64_t>(ins_.queue_depth_peak->value());
+  s.inflight_batches = static_cast<uint64_t>(ins_.inflight_batches->value());
+  return s;
 }
 
 }  // namespace net

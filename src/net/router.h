@@ -29,6 +29,12 @@
 // service pool and calls OnBatchDone when finished. All mutable state is
 // GUARDED_BY(mu_); the executor/shed callbacks are invoked *outside* the
 // lock.
+//
+// Counts: the router owns one metrics registry (metrics()) holding every
+// net_* admission, batching and queue instrument; stats() reads those same
+// instruments. A BouquetServer adds its connection and response
+// instruments to its router's registry, so one server exports one
+// registry, and two routers in one process never share a count.
 
 #ifndef BOUQUET_NET_ROUTER_H_
 #define BOUQUET_NET_ROUTER_H_
@@ -107,7 +113,7 @@ struct RoutedRequest {
   std::function<void(WireError, const std::string&)> fail;
 };
 
-/// Counter/gauge snapshot.
+/// Snapshot of the router's instruments (metrics()).
 struct RouterStats {
   uint64_t submitted = 0;
   uint64_t admitted = 0;
@@ -134,7 +140,7 @@ class RequestRouter {
   using ShedHandler = std::function<void(RoutedRequest request)>;
 
   RequestRouter(RouterOptions options, BatchExecutor executor,
-                ShedHandler shed, obs::MetricsRegistry* metrics = nullptr);
+                ShedHandler shed);
   ~RequestRouter();
   RequestRouter(const RequestRouter&) = delete;
   RequestRouter& operator=(const RequestRouter&) = delete;
@@ -155,6 +161,8 @@ class RequestRouter {
   void Drain();
 
   RouterStats stats() const;
+  /// The registry holding this router's counts (and its server's).
+  obs::MetricsRegistry& metrics() { return metrics_; }
 
  private:
   struct Tenant {
@@ -184,18 +192,23 @@ class RequestRouter {
   const BatchExecutor executor_;
   const ShedHandler shed_;
 
+  // Resolved once from metrics_ at construction; never null. The gauges
+  // are set under mu_, so a snapshot under mu_ is consistent.
   struct Instruments {
-    obs::Counter* requests = nullptr;
-    obs::Counter* throttled = nullptr;
-    obs::Counter* shed = nullptr;
-    obs::Counter* batches = nullptr;
-    obs::Counter* batched_requests = nullptr;
-    obs::Gauge* queue_depth = nullptr;
-    obs::Gauge* queue_depth_peak = nullptr;
-    obs::Gauge* inflight_batches = nullptr;
-    obs::Histogram* batch_size = nullptr;
-    obs::Histogram* queue_wait = nullptr;
+    obs::Counter* submitted;
+    obs::Counter* admitted;
+    obs::Counter* throttled;
+    obs::Counter* shed;
+    obs::Counter* rejected_draining;
+    obs::Counter* batches;
+    obs::Counter* batched_requests;
+    obs::Gauge* queue_depth;
+    obs::Gauge* queue_depth_peak;
+    obs::Gauge* inflight_batches;
+    obs::Histogram* batch_size;
+    obs::Histogram* queue_wait;
   };
+  obs::MetricsRegistry metrics_;
   Instruments ins_;
 
   mutable Mutex mu_;
@@ -210,7 +223,6 @@ class RequestRouter {
   int inflight_batches_ GUARDED_BY(mu_) = 0;
   bool draining_ GUARDED_BY(mu_) = false;
   bool stop_ GUARDED_BY(mu_) = false;
-  RouterStats stats_ GUARDED_BY(mu_);
 
   std::thread dispatcher_;
 };

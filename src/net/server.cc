@@ -27,28 +27,6 @@ double SecondsBetween(std::chrono::steady_clock::time_point a,
 
 BouquetServer::BouquetServer(BouquetService* service, ServerOptions options)
     : service_(service), options_(std::move(options)) {
-  if (options_.metrics != nullptr) {
-    obs::MetricsRegistry* m = options_.metrics;
-    ins_.connections =
-        m->GetCounter("net_connections_total", "Connections accepted");
-    ins_.connections_open =
-        m->GetGauge("net_connections_open", "Connections currently open");
-    ins_.frames = m->GetCounter("net_frames_total", "Frames received");
-    ins_.protocol_errors = m->GetCounter(
-        "net_protocol_errors_total",
-        "Malformed frames/payloads and framing violations from peers");
-    ins_.responses =
-        m->GetCounter("net_responses_total", "RESULT frames sent");
-    ins_.error_responses =
-        m->GetCounter("net_error_responses_total", "ERROR frames sent");
-    ins_.degraded = m->GetCounter(
-        "net_degraded_total",
-        "RESULT frames served degraded by the MSO-safe plan");
-    ins_.request_latency = m->GetHistogram(
-        "net_request_latency_seconds",
-        "QUERY arrival to RESULT enqueue (server side)",
-        obs::NetLatencyBuckets());
-  }
   router_ = std::make_unique<RequestRouter>(
       options_.router,
       [this](const std::string& template_name,
@@ -63,8 +41,26 @@ BouquetServer::BouquetServer(BouquetService* service, ServerOptions options)
           router_->OnBatchDone();
         });
       },
-      [this](RoutedRequest request) { ShedToSafePlan(std::move(request)); },
-      options_.metrics);
+      [this](RoutedRequest request) { ShedToSafePlan(std::move(request)); });
+  obs::MetricsRegistry& m = metrics();
+  ins_.connections =
+      m.GetCounter("net_connections_total", "Connections accepted");
+  ins_.connections_open =
+      m.GetGauge("net_connections_open", "Connections currently open");
+  ins_.frames = m.GetCounter("net_frames_total", "Frames received");
+  ins_.protocol_errors = m.GetCounter(
+      "net_protocol_errors_total",
+      "Malformed frames/payloads and framing violations from peers");
+  ins_.responses = m.GetCounter("net_responses_total", "RESULT frames sent");
+  ins_.error_responses =
+      m.GetCounter("net_error_responses_total", "ERROR frames sent");
+  ins_.degraded =
+      m.GetCounter("net_degraded_total",
+                   "RESULT frames served degraded by the MSO-safe plan");
+  ins_.request_latency = m.GetHistogram(
+      "net_request_latency_seconds",
+      "QUERY arrival to RESULT enqueue (server side)",
+      obs::NetLatencyBuckets());
 }
 
 BouquetServer::~BouquetServer() {
@@ -164,11 +160,9 @@ void BouquetServer::AdoptPending(Reactor& reactor) {
     span.Num("conn_id", static_cast<double>(id))
         .Num("reactor", static_cast<double>(reactor.index));
     span.End();
-    if (ins_.connections != nullptr) ins_.connections->Inc();
+    ins_.connections->Inc();
     const int open = open_conns_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (ins_.connections_open != nullptr) {
-      ins_.connections_open->Set(static_cast<double>(open));
-    }
+    ins_.connections_open->Set(static_cast<double>(open));
     reactor.conns.emplace(id, std::move(conn));
   }
 }
@@ -208,9 +202,7 @@ void BouquetServer::CloseConnection(Reactor& reactor, uint64_t conn_id) {
   reactor.loop.Del(it->second->fd());
   reactor.conns.erase(it);
   const int open = open_conns_.fetch_sub(1, std::memory_order_relaxed) - 1;
-  if (ins_.connections_open != nullptr) {
-    ins_.connections_open->Set(static_cast<double>(open));
-  }
+  ins_.connections_open->Set(static_cast<double>(open));
 }
 
 void BouquetServer::SendNow(Reactor& reactor, Connection& conn,
@@ -229,7 +221,7 @@ void BouquetServer::SendError(Reactor& reactor, Connection& conn,
   err.request_id = request_id;
   err.code = static_cast<uint8_t>(code);
   err.message = message;
-  if (ins_.error_responses != nullptr) ins_.error_responses->Inc();
+  ins_.error_responses->Inc();
   SendNow(reactor, conn, EncodeError(err));
 }
 
@@ -256,7 +248,7 @@ void BouquetServer::ReactorLoop(Reactor& reactor) {
         }
         if (reactor.conns.find(id) == reactor.conns.end()) continue;
         if (res == Connection::IoResult::kProtocolError) {
-          if (ins_.protocol_errors != nullptr) ins_.protocol_errors->Inc();
+          ins_.protocol_errors->Inc();
           close_conn = true;
         } else if (res != Connection::IoResult::kOk) {
           close_conn = true;
@@ -292,20 +284,18 @@ void BouquetServer::ReactorLoop(Reactor& reactor) {
   if (closed > 0) {
     const int open =
         open_conns_.fetch_sub(closed, std::memory_order_relaxed) - closed;
-    if (ins_.connections_open != nullptr) {
-      ins_.connections_open->Set(static_cast<double>(open));
-    }
+    ins_.connections_open->Set(static_cast<double>(open));
   }
 }
 
 void BouquetServer::HandleFrame(Reactor& reactor, Connection& conn,
                                 const Frame& frame) {
-  if (ins_.frames != nullptr) ins_.frames->Inc();
+  ins_.frames->Inc();
   switch (static_cast<FrameType>(frame.type)) {
     case FrameType::kHello: {
       HelloMsg hello;
       if (!DecodeHello(frame, &hello).ok()) {
-        if (ins_.protocol_errors != nullptr) ins_.protocol_errors->Inc();
+        ins_.protocol_errors->Inc();
         SendError(reactor, conn, 0, WireError::kMalformed, "bad HELLO");
         return;
       }
@@ -318,12 +308,8 @@ void BouquetServer::HandleFrame(Reactor& reactor, Connection& conn,
       HandleQuery(reactor, conn, frame);
       return;
     case FrameType::kMetrics: {
-      if (options_.metrics == nullptr) {
-        SendError(reactor, conn, 0, WireError::kInternal,
-                  "metrics registry not attached");
-        return;
-      }
-      std::string text = options_.metrics->ExportPrometheus();
+      std::string text = service_->metrics().ExportPrometheus() +
+                         metrics().ExportPrometheus();
       const size_t cap = options_.max_payload - 64;
       if (text.size() > cap) text.resize(cap);
       SendNow(reactor, conn, EncodeText(FrameType::kMetricsText, text));
@@ -353,7 +339,7 @@ void BouquetServer::HandleFrame(Reactor& reactor, Connection& conn,
       RequestShutdown();
       return;
     default:
-      if (ins_.protocol_errors != nullptr) ins_.protocol_errors->Inc();
+      ins_.protocol_errors->Inc();
       SendError(reactor, conn, 0, WireError::kMalformed,
                 "unexpected frame type");
       return;
@@ -364,7 +350,7 @@ void BouquetServer::HandleQuery(Reactor& reactor, Connection& conn,
                                 const Frame& frame) {
   QueryMsg query;
   if (!DecodeQuery(frame, &query).ok()) {
-    if (ins_.protocol_errors != nullptr) ins_.protocol_errors->Inc();
+    ins_.protocol_errors->Inc();
     SendError(reactor, conn, 0, WireError::kMalformed, "bad QUERY payload");
     return;
   }
@@ -404,13 +390,9 @@ void BouquetServer::HandleQuery(Reactor& reactor, Connection& conn,
     out.request_id = request_id;
     out.server_seconds =
         SecondsBetween(arrival, std::chrono::steady_clock::now());
-    if (ins_.responses != nullptr) ins_.responses->Inc();
-    if ((out.flags & kResultDegraded) != 0 && ins_.degraded != nullptr) {
-      ins_.degraded->Inc();
-    }
-    if (ins_.request_latency != nullptr) {
-      ins_.request_latency->Observe(out.server_seconds);
-    }
+    ins_.responses->Inc();
+    if ((out.flags & kResultDegraded) != 0) ins_.degraded->Inc();
+    ins_.request_latency->Observe(out.server_seconds);
     SendToConn(reactor_index, conn_id, EncodeResult(out));
   };
   request.fail = [this, reactor_index, conn_id, request_id](
@@ -419,7 +401,7 @@ void BouquetServer::HandleQuery(Reactor& reactor, Connection& conn,
     err.request_id = request_id;
     err.code = static_cast<uint8_t>(code);
     err.message = message;
-    if (ins_.error_responses != nullptr) ins_.error_responses->Inc();
+    ins_.error_responses->Inc();
     SendToConn(reactor_index, conn_id, EncodeError(err));
   };
   router_->Submit(std::move(request));

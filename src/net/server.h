@@ -20,7 +20,9 @@
 // Live observability: METRICS and TRACE_DUMP frames serve the Prometheus
 // text export and the tracer's JSONL over the wire (the /metrics endpoint,
 // rather than the old dump-on-exit), and the span taxonomy gains net.accept
-// / net.request / net.batch.
+// / net.request / net.batch. The server counts connections, frames and
+// responses into its router's registry (metrics()); a METRICS reply is the
+// service's registry followed by that one.
 //
 // Shutdown: RequestShutdown() (any thread, including a reactor handling a
 // SHUTDOWN frame) flags the supervisor; Wait() performs the graceful drain:
@@ -62,10 +64,9 @@ struct ServerOptions {
   RouterOptions router;
   /// JSONL trace export written during graceful shutdown (empty = off).
   std::string trace_path;
-  /// Borrowed observability sinks (may be null; typically the same ones
-  /// handed to the BouquetService).
+  /// Borrowed tracer (may be null; typically the one handed to the
+  /// BouquetService).
   obs::Tracer* tracer = nullptr;
-  obs::MetricsRegistry* metrics = nullptr;
 };
 
 class BouquetServer {
@@ -100,6 +101,9 @@ class BouquetServer {
   Status trace_export_status() const;
 
   const RequestRouter& router() const { return *router_; }
+  /// This server's counts: the router's net_* admission and batching
+  /// instruments plus the server's connection and response instruments.
+  obs::MetricsRegistry& metrics() { return router_->metrics(); }
 
  private:
   struct Reactor {
@@ -148,15 +152,16 @@ class BouquetServer {
   BouquetService* const service_;
   const ServerOptions options_;
 
+  // Resolved once, in the router's registry, at construction; never null.
   struct Instruments {
-    obs::Counter* connections = nullptr;
-    obs::Gauge* connections_open = nullptr;
-    obs::Counter* frames = nullptr;
-    obs::Counter* protocol_errors = nullptr;
-    obs::Counter* responses = nullptr;
-    obs::Counter* error_responses = nullptr;
-    obs::Counter* degraded = nullptr;
-    obs::Histogram* request_latency = nullptr;
+    obs::Counter* connections;
+    obs::Gauge* connections_open;
+    obs::Counter* frames;
+    obs::Counter* protocol_errors;
+    obs::Counter* responses;
+    obs::Counter* error_responses;
+    obs::Counter* degraded;
+    obs::Histogram* request_latency;
   };
   Instruments ins_;
 

@@ -46,6 +46,13 @@ void Histogram::Observe(double value) {
   sum_ += value;
 }
 
+void Histogram::Reset() {
+  MutexLock lock(&mu_);
+  counts_.assign(bounds_.size() + 1, 0);
+  count_ = 0;
+  sum_ = 0.0;
+}
+
 Histogram::Snapshot Histogram::snapshot() const {
   Snapshot s;
   s.bounds = bounds_;
@@ -82,6 +89,12 @@ Counter* MetricsRegistry::GetCounter(const std::string& name,
 
 Gauge* MetricsRegistry::GetGauge(const std::string& name,
                                  const std::string& help) {
+  return GetGauge(name, help, nullptr);
+}
+
+Gauge* MetricsRegistry::GetGauge(const std::string& name,
+                                 const std::string& help,
+                                 std::function<double()> sample) {
   MutexLock lock(&mu_);
   if (Entry* e = FindLocked(name)) {
     assert(e->kind == Kind::kGauge && "metric re-registered as a gauge");
@@ -92,6 +105,7 @@ Gauge* MetricsRegistry::GetGauge(const std::string& name,
   e->help = help;
   e->kind = Kind::kGauge;
   e->gauge = std::make_unique<Gauge>();
+  e->gauge->sample_ = std::move(sample);
   Gauge* out = e->gauge.get();
   entries_.push_back(std::move(e));
   return out;
@@ -114,6 +128,23 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name,
   Histogram* out = e->histogram.get();
   entries_.push_back(std::move(e));
   return out;
+}
+
+void MetricsRegistry::ResetForTest() {
+  MutexLock lock(&mu_);
+  for (const auto& e : entries_) {
+    switch (e->kind) {
+      case Kind::kCounter:
+        e->counter->value_.store(0, std::memory_order_release);
+        break;
+      case Kind::kGauge:
+        e->gauge->Set(0.0);
+        break;
+      case Kind::kHistogram:
+        e->histogram->Reset();
+        break;
+    }
+  }
 }
 
 std::string MetricsRegistry::ExportPrometheus() const {

@@ -6,10 +6,13 @@
 // dump) and as a JSON object (machine-friendly for the bench harness and
 // EXPERIMENTS.md table regeneration).
 //
-// Instruments are created once via Get* and returned as stable raw pointers
-// owned by the registry (valid for the registry's lifetime), so the hot
-// path is a single relaxed atomic add — no map lookup, no lock. The
-// registry's name index is GUARDED_BY a Mutex from the capability layer
+// Each counting component owns one registry (BouquetService, BouquetServer
+// together with its RequestRouter, BufferManager) and resolves its
+// instruments once, at construction, as stable raw pointers owned by the
+// registry (valid for the registry's lifetime). The hot path is a single
+// atomic add — no map lookup, no lock — and the component's stats()
+// snapshot reads the same instruments the exporter prints. The registry's
+// name index is GUARDED_BY a Mutex from the capability layer
 // (common/synchronization.h); histograms serialize their bucket updates
 // through their own leaf Mutex.
 //
@@ -21,6 +24,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -30,19 +34,26 @@
 namespace bouquet {
 namespace obs {
 
-/// Monotonically increasing count (lock-free).
+/// Monotonically increasing count (lock-free). Increments are release and
+/// reads acquire: a reader that sees an increment also sees every count its
+/// writer made before it. Snapshots rely on this to stay consistent without
+/// a lock (count the admission first, its outcome second; read the outcome
+/// first, the admission last).
 class Counter {
  public:
   void Inc(uint64_t delta = 1) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
+    value_.fetch_add(delta, std::memory_order_release);
   }
-  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
+  uint64_t value() const { return value_.load(std::memory_order_acquire); }
 
  private:
+  friend class MetricsRegistry;
   std::atomic<uint64_t> value_{0};
 };
 
-/// Last-write-wins instantaneous value (lock-free).
+/// Last-write-wins instantaneous value (lock-free), or a sampled level: a
+/// gauge registered with a sample function reads it on every value() call,
+/// so it can never go stale (Set/Add are not used on those).
 class Gauge {
  public:
   void Set(double v) { value_.store(v, std::memory_order_relaxed); }
@@ -54,10 +65,14 @@ class Gauge {
                                          std::memory_order_relaxed)) {
     }
   }
-  double value() const { return value_.load(std::memory_order_relaxed); }
+  double value() const {
+    return sample_ ? sample_() : value_.load(std::memory_order_relaxed);
+  }
 
  private:
+  friend class MetricsRegistry;
   std::atomic<double> value_{0.0};
+  std::function<double()> sample_;
 };
 
 /// Fixed-bucket histogram (cumulative buckets on export, Prometheus-style:
@@ -78,6 +93,9 @@ class Histogram {
   Snapshot snapshot() const;
 
  private:
+  friend class MetricsRegistry;
+  void Reset();
+
   const std::vector<double> bounds_;
   mutable Mutex mu_;
   std::vector<uint64_t> counts_ GUARDED_BY(mu_);
@@ -87,7 +105,8 @@ class Histogram {
 
 /// Named instruments with Prometheus/JSON export. Re-requesting an existing
 /// name returns the same instrument (help/bounds of the first registration
-/// win), so independent subsystems can share counters by name.
+/// win), so a reader — a test, or a per-run object such as BouquetDriver
+/// handed its owner's registry — finds an instrument by its name.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -96,6 +115,12 @@ class MetricsRegistry {
 
   Counter* GetCounter(const std::string& name, const std::string& help);
   Gauge* GetGauge(const std::string& name, const std::string& help);
+  /// A sampled gauge: its value is `sample()` at read time. `sample` must be
+  /// thread-safe and must not call back into this registry (exports run it
+  /// under the registry lock); it typically reads a level its owner keeps
+  /// anyway (a queue depth, live cache entries).
+  Gauge* GetGauge(const std::string& name, const std::string& help,
+                  std::function<double()> sample);
   Histogram* GetHistogram(const std::string& name, const std::string& help,
                           std::vector<double> bounds);
 
@@ -106,6 +131,10 @@ class MetricsRegistry {
   /// One JSON object keyed by metric name; histograms expand to
   /// {"buckets":[{"le":..,"count":..},...],"count":..,"sum":..}.
   std::string ExportJson() const;
+
+  /// Zeroes every counter, plain gauge and histogram (sampled gauges follow
+  /// their source). For test resets of the owning component only.
+  void ResetForTest();
 
  private:
   enum class Kind { kCounter, kGauge, kHistogram };

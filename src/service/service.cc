@@ -23,86 +23,105 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
 BouquetService::BouquetService(const Catalog& catalog, ServiceOptions options)
     : catalog_(&catalog),
       options_(options),
+      ladder_(LadderInstruments::Resolve(metrics_)),
       pool_(options.num_threads),
       cache_(options.cache_capacity, options.cache_shards) {
-  if (options_.metrics != nullptr) {
-    obs::MetricsRegistry* m = options_.metrics;
-    ins_.requests =
-        m->GetCounter("service_requests_total", "Requests served");
-    ins_.cache_hits = m->GetCounter("service_cache_hits_total",
-                                    "Requests served from the bouquet cache");
-    ins_.cache_misses =
-        m->GetCounter("service_cache_misses_total",
-                      "Requests that compiled their template bundle");
-    ins_.shared_compiles =
-        m->GetCounter("service_shared_compiles_total",
-                      "Requests deduplicated onto another compile "
-                      "(single-flight followers)");
-    ins_.compile_seconds =
-        m->GetHistogram("service_compile_seconds",
-                        "Template compile latency (leader compiles only)",
-                        obs::CompileLatencyBuckets());
-    ins_.cache_hit_rate = m->GetGauge(
-        "service_cache_hit_rate", "cache_hits / requests, cumulative");
-    ins_.suboptimality = m->GetHistogram(
-        "bouquet_suboptimality",
-        "Per-run SubOpt = total cost / optimal cost at q_a (simulated runs)",
-        obs::SubOptimalityBuckets());
-    ins_.plan_executions = m->GetCounter(
-        "bouquet_executions_total",
-        "Plan executions issued across all requests (both modes)");
-    ins_.contour_crossings =
-        m->GetCounter("bouquet_contour_crossings_total",
-                      "Isocost contours crossed without completing, summed "
-                      "over requests");
-    ins_.spills = m->GetCounter(
-        "bouquet_spills_total", "Spill-mode learning executions issued");
-    ins_.fallbacks = m->GetCounter(
-        "bouquet_fallbacks_total",
-        "Runs that exhausted every contour budget and fell back");
-    ins_.batches = m->GetCounter("service_batches_total",
-                                 "Same-template batches served by RunBatch");
-    ins_.batch_requests = m->GetCounter(
-        "service_batch_requests_total", "Requests served inside batches");
-    ins_.sheds = m->GetCounter(
-        "service_shed_total",
-        "Requests served degraded by the precompiled MSO-safe plan");
-    ins_.inflight = m->GetGauge("service_inflight_requests",
-                                "Requests currently executing");
-    ins_.queue_depth = m->GetGauge("service_queue_depth",
-                                   "Tasks waiting in the service pool");
-    if (options_.feedback != nullptr) {
-      ins_.feedback_lookups = m->GetCounter(
-          "feedback_lookups_total", "Feedback store lookups before runs");
-      ins_.feedback_hits = m->GetCounter(
-          "feedback_hits_total",
-          "Feedback lookups that produced a usable warm-start seed");
-      ins_.feedback_records = m->GetCounter(
-          "feedback_records_total", "Run outcomes recorded into feedback");
-      ins_.feedback_warm_runs = m->GetCounter(
-          "feedback_warm_runs_total",
-          "Runs that warm-started the ladder above contour 0");
-      ins_.feedback_contours_skipped = m->GetCounter(
-          "feedback_contours_skipped_total",
-          "Contours skipped up-front by warm starts, summed over runs");
-      ins_.feedback_box_shrinks = m->GetCounter(
-          "feedback_box_shrinks_total",
-          "Template compiles over a feedback-shrunken ESS box");
-    }
-    ins_.cache_warm_entries = m->GetGauge(
-        "service_cache_warm_entries",
-        "Warm-started bundles resident in the cache (sampled)");
-    ins_.cache_warm_evictions = m->GetGauge(
-        "service_cache_warm_evictions",
-        "Warm-started bundles evicted by LRU pressure (sampled)");
-  }
-  // Disk-backed databases: route buffer-pool counters and page-fault spans
-  // to the same sinks as the service's own instruments.
+  obs::MetricsRegistry& m = metrics_;
+  ins_.requests = m.GetCounter("service_requests_total", "Requests served");
+  ins_.cache_hits = m.GetCounter("service_cache_hits_total",
+                                 "Requests served from the bouquet cache");
+  ins_.compilations =
+      m.GetCounter("service_cache_misses_total",
+                   "Requests that compiled their template bundle");
+  ins_.shared_compiles =
+      m.GetCounter("service_shared_compiles_total",
+                   "Requests deduplicated onto another compile "
+                   "(single-flight followers)");
+  ins_.warm_starts = m.GetCounter("service_warm_starts_total",
+                                  "Bundles installed from bouquet files");
+  ins_.posp_dp_calls = m.GetCounter(
+      "service_posp_dp_calls_total", "Full DP invocations of POSP compiles");
+  ins_.posp_recost_hits =
+      m.GetCounter("service_posp_recost_hits_total",
+                   "POSP grid points served by the recost fast path");
+  ins_.posp_memo_hits =
+      m.GetCounter("service_posp_memo_hits_total",
+                   "DP subproblems reused from the invariant-subplan memo");
+  ins_.posp_audit_checks = m.GetCounter(
+      "service_posp_audit_checks_total", "POSP differential-audit checks");
+  ins_.posp_audit_failures =
+      m.GetCounter("service_posp_audit_failures_total",
+                   "POSP differential-audit mismatches");
+  ins_.compile_seconds =
+      m.GetHistogram("service_compile_seconds",
+                     "Template compile latency (leader compiles only)",
+                     obs::CompileLatencyBuckets());
+  ins_.execute_seconds = m.GetHistogram(
+      "service_execute_seconds",
+      "Per-request execution time (ladder or safe plan)",
+      obs::NetLatencyBuckets());
+  ins_.latency_seconds = m.GetHistogram(
+      "service_latency_seconds",
+      "Per-request latency from admission to result",
+      obs::NetLatencyBuckets());
+  ins_.suboptimality = m.GetHistogram(
+      "bouquet_suboptimality",
+      "Per-run SubOpt = total cost / optimal cost at q_a (simulated runs)",
+      obs::SubOptimalityBuckets());
+  ins_.batches = m.GetCounter("service_batches_total",
+                              "Same-template batches served by RunBatch");
+  ins_.batch_requests = m.GetCounter("service_batch_requests_total",
+                                     "Requests served inside batches");
+  ins_.sheds = m.GetCounter(
+      "service_shed_total",
+      "Requests served degraded by the precompiled MSO-safe plan");
+  ins_.feedback_lookups = m.GetCounter(
+      "feedback_lookups_total", "Feedback store lookups before runs");
+  ins_.feedback_hits = m.GetCounter(
+      "feedback_hits_total",
+      "Feedback lookups that produced a usable warm-start seed");
+  ins_.feedback_records = m.GetCounter(
+      "feedback_records_total", "Run outcomes recorded into feedback");
+  ins_.feedback_warm_runs = m.GetCounter(
+      "feedback_warm_runs_total",
+      "Runs that warm-started the ladder above contour 0");
+  ins_.feedback_contours_skipped = m.GetCounter(
+      "feedback_contours_skipped_total",
+      "Contours skipped up-front by warm starts, summed over runs");
+  ins_.feedback_box_shrinks = m.GetCounter(
+      "feedback_box_shrinks_total",
+      "Template compiles over a feedback-shrunken ESS box");
+
+  // Levels, read from their one source whenever they are exported.
+  m.GetGauge("service_cache_hit_rate", "cache_hits / requests, cumulative",
+             [this] {
+               // Hits first, requests last (see stats()).
+               const double hits = static_cast<double>(ins_.cache_hits->value());
+               const uint64_t requests = ins_.requests->value();
+               return requests == 0 ? 0.0 : hits / requests;
+             });
+  m.GetGauge("service_inflight_requests", "Requests currently executing",
+             [this] {
+               return static_cast<double>(
+                   inflight_now_.load(std::memory_order_relaxed));
+             });
+  m.GetGauge("service_queue_depth", "Tasks waiting in the service pool",
+             [this] { return static_cast<double>(pool_.queue_depth()); });
+  m.GetGauge("service_cache_warm_entries",
+             "Warm-started bundles resident in the cache", [this] {
+               return static_cast<double>(cache_.stats().warm_entries);
+             });
+  m.GetGauge("service_cache_warm_evictions",
+             "Warm-started bundles evicted by LRU pressure", [this] {
+               return static_cast<double>(cache_.stats().warm_evictions);
+             });
+
+  // Disk-backed databases: page-fault spans go to the service's tracer
+  // (the buffer pool counts its own events in its own registry).
   if (options_.database != nullptr &&
       options_.database->storage() != nullptr &&
-      (options_.metrics != nullptr || options_.tracer != nullptr)) {
-    options_.database->storage()->buffer()->SetObservability(
-        options_.metrics, options_.tracer);
+      options_.tracer != nullptr) {
+    options_.database->storage()->buffer()->SetObservability(options_.tracer);
   }
 }
 
@@ -113,18 +132,10 @@ BouquetService::InflightScope::InflightScope(BouquetService* s) : s_(s) {
   while (now > peak && !s_->inflight_peak_.compare_exchange_weak(
                            peak, now, std::memory_order_relaxed)) {
   }
-  if (s_->ins_.inflight != nullptr) {
-    s_->ins_.inflight->Set(static_cast<double>(now));
-    s_->ins_.queue_depth->Set(static_cast<double>(s_->pool_.queue_depth()));
-  }
 }
 
 BouquetService::InflightScope::~InflightScope() {
-  const int64_t now =
-      s_->inflight_now_.fetch_sub(1, std::memory_order_relaxed) - 1;
-  if (s_->ins_.inflight != nullptr) {
-    s_->ins_.inflight->Set(static_cast<double>(now));
-  }
+  s_->inflight_now_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 std::vector<int> BouquetService::ResolutionsFor(const QuerySpec& query) const {
@@ -185,21 +196,16 @@ std::shared_ptr<const CompiledBouquet> BouquetService::Compile(
   return c;
 }
 
-void BouquetService::RecordCompileStatsLocked(const CompiledBouquet& c) {
-  ++stats_.cache_misses;
-  ++stats_.compilations;
-  if (c.shrunken_box) {
-    ++stats_.feedback_box_shrinks;
-    if (ins_.feedback_box_shrinks != nullptr) {
-      ins_.feedback_box_shrinks->Inc();
-    }
-  }
-  stats_.compile_seconds += c.compile_seconds;
-  stats_.posp_dp_calls += c.posp_stats.dp_calls;
-  stats_.posp_recost_hits += c.posp_stats.recost_hits;
-  stats_.posp_memo_hits += c.posp_stats.memo_hits;
-  stats_.posp_audit_checks += c.posp_stats.audit_checks;
-  stats_.posp_audit_failures += c.posp_stats.audit_failures;
+void BouquetService::CountCompile(const CompiledBouquet& c) {
+  ins_.compilations->Inc();
+  ins_.compile_seconds->Observe(c.compile_seconds);
+  if (c.shrunken_box) ins_.feedback_box_shrinks->Inc();
+  const PospStats& p = c.posp_stats;
+  ins_.posp_dp_calls->Inc(static_cast<uint64_t>(p.dp_calls));
+  ins_.posp_recost_hits->Inc(static_cast<uint64_t>(p.recost_hits));
+  ins_.posp_memo_hits->Inc(static_cast<uint64_t>(p.memo_hits));
+  ins_.posp_audit_checks->Inc(static_cast<uint64_t>(p.audit_checks));
+  ins_.posp_audit_failures->Inc(static_cast<uint64_t>(p.audit_failures));
 }
 
 Result<std::shared_ptr<const CompiledBouquet>> BouquetService::GetOrCompile(
@@ -213,9 +219,7 @@ Result<std::shared_ptr<const CompiledBouquet>> BouquetService::GetOrCompile(
       result->cache_hit = true;
       result->compile_seconds = SecondsSince(t0);
     }
-    if (ins_.cache_hits != nullptr) ins_.cache_hits->Inc();
-    MutexLock lock(&stats_mu_);
-    ++stats_.cache_hits;
+    ins_.cache_hits->Inc();
     return c;
   }
 
@@ -236,9 +240,7 @@ Result<std::shared_ptr<const CompiledBouquet>> BouquetService::GetOrCompile(
         result->cache_hit = true;
         result->compile_seconds = SecondsSince(t0);
       }
-      if (ins_.cache_hits != nullptr) ins_.cache_hits->Inc();
-      MutexLock slock(&stats_mu_);
-      ++stats_.cache_hits;
+      ins_.cache_hits->Inc();
       return c;
     } else {
       leader = true;
@@ -268,12 +270,7 @@ Result<std::shared_ptr<const CompiledBouquet>> BouquetService::GetOrCompile(
       result->compiled = true;
       result->compile_seconds = SecondsSince(t0);
     }
-    if (ins_.cache_misses != nullptr) ins_.cache_misses->Inc();
-    if (ins_.compile_seconds != nullptr) {
-      ins_.compile_seconds->Observe(c->compile_seconds);
-    }
-    MutexLock lock(&stats_mu_);
-    RecordCompileStatsLocked(*c);
+    CountCompile(*c);
     return c;
   }
 
@@ -283,9 +280,7 @@ Result<std::shared_ptr<const CompiledBouquet>> BouquetService::GetOrCompile(
     result->shared_compile = true;
     result->compile_seconds = SecondsSince(t0);
   }
-  if (ins_.shared_compiles != nullptr) ins_.shared_compiles->Inc();
-  MutexLock lock(&stats_mu_);
-  ++stats_.shared_compiles;
+  ins_.shared_compiles->Inc();
   return c;
 }
 
@@ -337,11 +332,9 @@ Result<ServiceResult> BouquetService::Run(const ServiceRequest& request) {
   // hit/miss/shared counters: a stats() snapshot taken mid-request must
   // never show cache_hits + cache_misses + shared_compiles > requests
   // (it used to, transiently, which let CacheHitRate() exceed 1.0).
-  {
-    MutexLock lock(&stats_mu_);
-    ++stats_.requests;
-  }
-  if (ins_.requests != nullptr) ins_.requests->Inc();
+  // Counter increments are release and reads acquire, and stats() reads
+  // requests last, so this order is what every snapshot sees.
+  ins_.requests->Inc();
 
   obs::Span req_span = obs::Tracer::Begin(options_.tracer, "service.request");
   req_span.Num("mode",
@@ -382,22 +375,11 @@ int BouquetService::FeedbackStartContour(const CompiledBouquet& c,
     start = WarmStartContour(*c.bouquet, seed_cost,
                              options_.feedback_policy.safety_margin);
   }
-  if (ins_.feedback_lookups != nullptr) {
-    ins_.feedback_lookups->Inc();
-    if (hit) ins_.feedback_hits->Inc();
-    if (start > 0) {
-      ins_.feedback_warm_runs->Inc();
-      ins_.feedback_contours_skipped->Inc(static_cast<uint64_t>(start));
-    }
-  }
-  {
-    MutexLock lock(&stats_mu_);
-    ++stats_.feedback_lookups;
-    if (hit) ++stats_.feedback_hits;
-    if (start > 0) {
-      ++stats_.feedback_warm_runs;
-      stats_.feedback_contours_skipped += static_cast<uint64_t>(start);
-    }
+  ins_.feedback_lookups->Inc();
+  if (hit) ins_.feedback_hits->Inc();
+  if (start > 0) {
+    ins_.feedback_warm_runs->Inc();
+    ins_.feedback_contours_skipped->Inc(static_cast<uint64_t>(start));
   }
   if (span.enabled()) {
     span.Flag("hit", hit).Num("start_contour", static_cast<double>(start));
@@ -433,11 +415,7 @@ void BouquetService::RecordFeedback(const ServiceRequest& request,
   obs::Span span =
       obs::Tracer::Begin(options_.tracer, "feedback.record", parent);
   const Status s = fb->Record(observed);
-  if (s.ok()) {
-    if (ins_.feedback_records != nullptr) ins_.feedback_records->Inc();
-    MutexLock lock(&stats_mu_);
-    ++stats_.feedback_records;
-  }
+  if (s.ok()) ins_.feedback_records->Inc();
   if (span.enabled()) {
     span.Flag("ok", s.ok())
         .Num("final_contour", static_cast<double>(observed.final_contour));
@@ -455,17 +433,17 @@ void BouquetService::ExecuteWithBundle(
   if (request.mode == ExecutionMode::kSimulate) {
     const uint64_t qa = SnapToGrid(*c->grid, request.actual_selectivities);
     r.sim = c->simulator->RunOptimizedWarm(qa, warm_start, options_.tracer,
-                                           req_span);
+                                           req_span, &ladder_);
     const double subopt = c->simulator->SubOpt(r.sim, qa);
     req_span->Num("subopt", subopt);
-    if (ins_.suboptimality != nullptr) ins_.suboptimality->Observe(subopt);
+    ins_.suboptimality->Observe(subopt);
   } else {
     // Per-request optimizer + driver: both are bound to this request's
     // constants and neither is shared across threads.
     QueryOptimizer run_opt(request.query, *catalog_, options_.cost_params);
     BouquetDriver driver(*c->bouquet, *c->diagram, &run_opt,
                          options_.database);
-    driver.SetObservability(options_.tracer, options_.metrics, req_span);
+    driver.SetObservability(options_.tracer, &metrics_, req_span);
     driver.SetWarmStart(warm_start);
     r.real = driver.RunOptimized();
   }
@@ -484,45 +462,8 @@ void BouquetService::ExecuteWithBundle(
     req_span->End();
   }
 
-  // Per-request run-phase aggregates, folded into both the ServiceStats
-  // snapshot and (when attached) the metrics registry.
-  uint64_t executions = 0, crossings = 0, spills = 0, fallbacks = 0;
-  if (request.mode == ExecutionMode::kSimulate) {
-    executions = static_cast<uint64_t>(r.sim.num_executions);
-    crossings = static_cast<uint64_t>(std::max(r.sim.final_contour, 0));
-    for (const SimStep& s : r.sim.steps) {
-      // The simulator stamps learned_dim on every step, including the
-      // completing one; only aborted steps actually spill-learned.
-      if (!s.completed && s.learned_dim >= 0) ++spills;
-    }
-    fallbacks = r.sim.fallback_used ? 1 : 0;
-  } else {
-    executions = static_cast<uint64_t>(r.real.num_executions);
-    crossings = static_cast<uint64_t>(std::max(r.real.contours_crossed, 0));
-    for (const DriverStep& s : r.real.steps) {
-      if (s.spilled) ++spills;
-    }
-    fallbacks = r.real.fallback_used ? 1 : 0;
-  }
-  if (ins_.plan_executions != nullptr) {
-    ins_.plan_executions->Inc(executions);
-    ins_.contour_crossings->Inc(crossings);
-    ins_.spills->Inc(spills);
-    ins_.fallbacks->Inc(fallbacks);
-  }
-
-  {
-    MutexLock lock(&stats_mu_);
-    stats_.execute_seconds += r.execute_seconds;
-    stats_.latency_seconds += r.latency_seconds;
-    stats_.plan_executions += executions;
-    stats_.contour_crossings += crossings;
-    stats_.spills += spills;
-    stats_.fallbacks += fallbacks;
-    if (ins_.cache_hit_rate != nullptr) {
-      ins_.cache_hit_rate->Set(stats_.CacheHitRate());
-    }
-  }
+  ins_.execute_seconds->Observe(r.execute_seconds);
+  ins_.latency_seconds->Observe(r.latency_seconds);
 }
 
 Result<std::vector<ServiceResult>> BouquetService::RunBatch(
@@ -542,17 +483,9 @@ Result<std::vector<ServiceResult>> BouquetService::RunBatch(
   InflightScope inflight(this);
 
   const auto t0 = std::chrono::steady_clock::now();
-  {
-    MutexLock lock(&stats_mu_);
-    stats_.requests += requests.size();
-    ++stats_.batches;
-    stats_.batch_requests += requests.size();
-  }
-  if (ins_.requests != nullptr) {
-    ins_.requests->Inc(requests.size());
-    ins_.batches->Inc();
-    ins_.batch_requests->Inc(requests.size());
-  }
+  ins_.requests->Inc(requests.size());
+  ins_.batches->Inc();
+  ins_.batch_requests->Inc(requests.size());
 
   obs::Span batch_span =
       obs::Tracer::Begin(options_.tracer, "service.batch", parent);
@@ -565,12 +498,7 @@ Result<std::vector<ServiceResult>> BouquetService::RunBatch(
   auto bundle_or = GetOrCompile(requests.front().query, &leader, &batch_span);
   if (!bundle_or.ok()) return bundle_or.status();
   std::shared_ptr<const CompiledBouquet> c = std::move(bundle_or).value();
-  if (requests.size() > 1) {
-    const uint64_t followers = requests.size() - 1;
-    if (ins_.cache_hits != nullptr) ins_.cache_hits->Inc(followers);
-    MutexLock lock(&stats_mu_);
-    stats_.cache_hits += followers;
-  }
+  if (requests.size() > 1) ins_.cache_hits->Inc(requests.size() - 1);
 
   std::vector<ServiceResult> results(requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
@@ -619,18 +547,9 @@ Result<ServiceResult> BouquetService::RunSafePlan(
         "RunSafePlan: template not compiled (safe plan unavailable)");
   }
   r.cache_hit = true;
-
-  {
-    MutexLock lock(&stats_mu_);
-    ++stats_.requests;
-    ++stats_.cache_hits;
-    ++stats_.sheds;
-  }
-  if (ins_.requests != nullptr) {
-    ins_.requests->Inc();
-    ins_.cache_hits->Inc();
-    ins_.sheds->Inc();
-  }
+  ins_.requests->Inc();
+  ins_.cache_hits->Inc();
+  ins_.sheds->Inc();
 
   obs::Span span =
       obs::Tracer::Begin(options_.tracer, "service.safe_plan", parent);
@@ -650,18 +569,10 @@ Result<ServiceResult> BouquetService::RunSafePlan(
     span.End();
   }
 
-  if (ins_.plan_executions != nullptr) {
-    ins_.plan_executions->Inc(static_cast<uint64_t>(r.sim.num_executions));
-  }
-  {
-    MutexLock lock(&stats_mu_);
-    stats_.execute_seconds += r.execute_seconds;
-    stats_.latency_seconds += r.latency_seconds;
-    stats_.plan_executions += static_cast<uint64_t>(r.sim.num_executions);
-    if (ins_.cache_hit_rate != nullptr) {
-      ins_.cache_hit_rate->Set(stats_.CacheHitRate());
-    }
-  }
+  // The safe plan's one execution, on the ladders' execution counter.
+  ladder_.executions->Inc(static_cast<uint64_t>(r.sim.num_executions));
+  ins_.execute_seconds->Observe(r.execute_seconds);
+  ins_.latency_seconds->Observe(r.latency_seconds);
   return r;
 }
 
@@ -695,21 +606,45 @@ Status BouquetService::WarmStart(const QuerySpec& query,
   FinishCompiledBouquet(c.get(), *catalog_, options_.cost_params,
                         options_.sim_options);
   cache_.Put(KeyFor(query), c);
-  {
-    MutexLock lock(&stats_mu_);
-    ++stats_.warm_starts;
-  }
+  ins_.warm_starts->Inc();
   return Status::Ok();
 }
 
 ServiceStats BouquetService::stats() const {
   ServiceStats s;
-  {
-    MutexLock lock(&stats_mu_);
-    s = stats_;
-  }
-  // Sampled outside stats_mu_ (a leaf lock: the pool's mutex must not be
-  // taken under it).
+  // Outcomes first, admissions last: a request is counted before its
+  // outcome (release increments, acquire reads), so no snapshot shows more
+  // outcomes than requests.
+  s.cache_hits = ins_.cache_hits->value();
+  s.cache_misses = ins_.compilations->value();
+  s.compilations = s.cache_misses;
+  s.shared_compiles = ins_.shared_compiles->value();
+  s.requests = ins_.requests->value();
+  s.warm_starts = ins_.warm_starts->value();
+  s.posp_dp_calls = static_cast<long long>(ins_.posp_dp_calls->value());
+  s.posp_recost_hits = static_cast<long long>(ins_.posp_recost_hits->value());
+  s.posp_memo_hits = static_cast<long long>(ins_.posp_memo_hits->value());
+  s.posp_audit_checks =
+      static_cast<long long>(ins_.posp_audit_checks->value());
+  s.posp_audit_failures =
+      static_cast<long long>(ins_.posp_audit_failures->value());
+  s.compile_seconds = ins_.compile_seconds->snapshot().sum;
+  s.execute_seconds = ins_.execute_seconds->snapshot().sum;
+  s.latency_seconds = ins_.latency_seconds->snapshot().sum;
+  s.plan_executions = ladder_.executions->value();
+  s.contour_crossings = ladder_.contour_crossings->value();
+  s.spills = ladder_.spills->value();
+  s.fallbacks = ladder_.fallbacks->value();
+  s.batches = ins_.batches->value();
+  s.batch_requests = ins_.batch_requests->value();
+  s.sheds = ins_.sheds->value();
+  s.feedback_lookups = ins_.feedback_lookups->value();
+  s.feedback_hits = ins_.feedback_hits->value();
+  s.feedback_records = ins_.feedback_records->value();
+  s.feedback_warm_runs = ins_.feedback_warm_runs->value();
+  s.feedback_contours_skipped = ins_.feedback_contours_skipped->value();
+  s.feedback_box_shrinks = ins_.feedback_box_shrinks->value();
+  // Sampled levels.
   s.inflight_requests = static_cast<uint64_t>(
       std::max<int64_t>(0, inflight_now_.load(std::memory_order_relaxed)));
   s.peak_inflight_requests = static_cast<uint64_t>(
@@ -718,10 +653,6 @@ ServiceStats BouquetService::stats() const {
   const CacheStats cs = cache_.stats();
   s.cache_warm_entries = cs.warm_entries;
   s.cache_warm_evictions = cs.warm_evictions;
-  if (ins_.cache_warm_entries != nullptr) {
-    ins_.cache_warm_entries->Set(static_cast<double>(cs.warm_entries));
-    ins_.cache_warm_evictions->Set(static_cast<double>(cs.warm_evictions));
-  }
   if (options_.database != nullptr &&
       options_.database->storage() != nullptr) {
     const storage::BufferStats b =

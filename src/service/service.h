@@ -69,12 +69,10 @@ struct ServiceOptions {
   SimOptions sim_options;
   /// Optional real-data backend for ExecutionMode::kRealData requests.
   Database* database = nullptr;
-  /// Optional observability sinks (borrowed; must outlive the service; null
-  /// = off). Requests become "service.request" span trees — compiles,
-  /// driver/simulator steps, and operator spans nest underneath — and the
-  /// registry gains service_* and bouquet_driver_* instruments.
+  /// Optional tracer (borrowed; must outlive the service; null = off).
+  /// Requests become "service.request" span trees — compiles, driver/
+  /// simulator steps, and operator spans nest underneath.
   obs::Tracer* tracer = nullptr;
-  obs::MetricsRegistry* metrics = nullptr;
   /// Optional cross-query selectivity feedback store (borrowed; must
   /// outlive the service; null = feedback off). When set, every finished
   /// request records its observed selectivities + final contour
@@ -119,7 +117,8 @@ struct ServiceResult {
   std::shared_ptr<const CompiledBouquet> compiled_bundle;
 };
 
-/// Aggregate service counters (snapshot).
+/// Aggregate service counters: a snapshot of the service's instruments
+/// (metrics()), plus the levels noted as sampled at stats() time.
 struct ServiceStats {
   uint64_t requests = 0;
   uint64_t cache_hits = 0;
@@ -128,10 +127,11 @@ struct ServiceStats {
   uint64_t compilations = 0;
   /// Bundles installed by WarmStart() (file loads). Disjoint from
   /// `compilations`/`cache_misses` by construction: a warm-started bundle
-  /// is Put directly into the cache and never runs Compile, so
-  /// compilations == cache_misses always holds and warm_starts never
-  /// inflates either (regression-tested in test_service). Feedback-driven
-  /// contour warm starts are the separate `feedback_warm_runs` below.
+  /// is Put directly into the cache and never runs Compile. A miss is a
+  /// compilation — one event, one instrument — so compilations ==
+  /// cache_misses always holds and warm_starts never inflates either
+  /// (regression-tested in test_service). Feedback-driven contour warm
+  /// starts are the separate `feedback_warm_runs` below.
   uint64_t warm_starts = 0;
   /// POSP compilation counters, summed over this service's compilations
   /// (see PospStats): full DP invocations, points served by the recost
@@ -145,8 +145,10 @@ struct ServiceStats {
   double compile_seconds = 0.0;   ///< sum over compilations only
   double execute_seconds = 0.0;
   double latency_seconds = 0.0;
-  /// Run-time-phase aggregates summed over finished requests (both modes):
-  /// plan executions issued, contours crossed without completing, spill-mode
+  /// Run-time-phase counts from the ladder (both modes): plan executions
+  /// issued (safe-plan executions included), contours advanced past without
+  /// completing (a jump over k contours counts k; contours a feedback warm
+  /// start skips count only in feedback_contours_skipped), spill-mode
   /// learning executions, and safety-net fallbacks (runs that exhausted
   /// every contour budget).
   uint64_t plan_executions = 0;
@@ -237,6 +239,9 @@ class BouquetService {
   Status WarmStart(const QuerySpec& query, const std::string& path);
 
   ServiceStats stats() const;
+  /// The registry holding every count of this service (and, for kRealData
+  /// requests, of its drivers' ladders and executors).
+  obs::MetricsRegistry& metrics() { return metrics_; }
   const BouquetCache& cache() const { return cache_; }
   ThreadPool* pool() { return &pool_; }
   const ServiceOptions& options() const { return options_; }
@@ -257,14 +262,14 @@ class BouquetService {
                       const CompiledBouquet& c, const ServiceResult& r,
                       const obs::Span* parent);
   /// Everything after the bundle is in hand: execution, span attributes,
-  /// run-phase stat folding. Shared by Run and RunBatch.
+  /// timing counts. Shared by Run and RunBatch.
   void ExecuteWithBundle(const ServiceRequest& request,
                          const std::shared_ptr<const CompiledBouquet>& bundle,
                          obs::Span* req_span,
                          std::chrono::steady_clock::time_point t0,
                          ServiceResult* r);
 
-  /// RAII inflight accounting (gauge + high-water mark + queue sample).
+  /// RAII inflight accounting (level + high-water mark).
   class InflightScope {
    public:
     explicit InflightScope(BouquetService* s);
@@ -274,60 +279,56 @@ class BouquetService {
     BouquetService* s_;
   };
 
-  /// Folds one compilation's timings and POSP counters into stats_.
-  void RecordCompileStatsLocked(const CompiledBouquet& c) REQUIRES(stats_mu_);
+  /// Counts one compilation: the miss itself, its timing and POSP counters.
+  void CountCompile(const CompiledBouquet& c);
 
-  // Pre-resolved metric instruments (null without options_.metrics).
+  // Resolved once from metrics_ at construction; never null. Sampled
+  // levels (hit rate, inflight, queue depth, warm cache entries) are
+  // registered as sampled gauges and kept nowhere else.
   struct Instruments {
-    obs::Counter* requests = nullptr;
-    obs::Counter* cache_hits = nullptr;
-    obs::Counter* cache_misses = nullptr;
-    obs::Counter* shared_compiles = nullptr;
-    obs::Histogram* compile_seconds = nullptr;
-    obs::Gauge* cache_hit_rate = nullptr;
-    obs::Histogram* suboptimality = nullptr;
-    // Run-phase aggregates covering both execution modes (the real-data
-    // driver additionally exposes its own finer-grained bouquet_driver_*).
-    obs::Counter* plan_executions = nullptr;
-    obs::Counter* contour_crossings = nullptr;
-    obs::Counter* spills = nullptr;
-    obs::Counter* fallbacks = nullptr;
-    // Serving-layer instruments.
-    obs::Counter* batches = nullptr;
-    obs::Counter* batch_requests = nullptr;
-    obs::Counter* sheds = nullptr;
-    obs::Gauge* inflight = nullptr;
-    obs::Gauge* queue_depth = nullptr;
-    // Feedback-store integration.
-    obs::Counter* feedback_lookups = nullptr;
-    obs::Counter* feedback_hits = nullptr;
-    obs::Counter* feedback_records = nullptr;
-    obs::Counter* feedback_warm_runs = nullptr;
-    obs::Counter* feedback_contours_skipped = nullptr;
-    obs::Counter* feedback_box_shrinks = nullptr;
-    obs::Gauge* cache_warm_entries = nullptr;
-    obs::Gauge* cache_warm_evictions = nullptr;
+    obs::Counter* requests;
+    obs::Counter* cache_hits;
+    obs::Counter* compilations;  ///< service_cache_misses_total
+    obs::Counter* shared_compiles;
+    obs::Counter* warm_starts;
+    obs::Counter* posp_dp_calls;
+    obs::Counter* posp_recost_hits;
+    obs::Counter* posp_memo_hits;
+    obs::Counter* posp_audit_checks;
+    obs::Counter* posp_audit_failures;
+    obs::Histogram* compile_seconds;  ///< leader compiles only
+    obs::Histogram* execute_seconds;
+    obs::Histogram* latency_seconds;
+    obs::Histogram* suboptimality;
+    obs::Counter* batches;
+    obs::Counter* batch_requests;
+    obs::Counter* sheds;
+    obs::Counter* feedback_lookups;
+    obs::Counter* feedback_hits;
+    obs::Counter* feedback_records;
+    obs::Counter* feedback_warm_runs;
+    obs::Counter* feedback_contours_skipped;
+    obs::Counter* feedback_box_shrinks;
   };
 
   const Catalog* catalog_;
   ServiceOptions options_;
+  // Declared before the pool: instruments outlive every pool task.
+  obs::MetricsRegistry metrics_;
   Instruments ins_;
+  LadderInstruments ladder_;  ///< the simulator ladders count here
   ThreadPool pool_;
   BouquetCache cache_;
 
   // Lock order (see DESIGN.md "Concurrency contracts"): single-flight
   // inflight_mu_ may be held while taking a cache-shard mutex (the
-  // double-checked Get) or stats_mu_; never the reverse. stats_mu_ is a
-  // leaf: nothing else is acquired under it.
+  // double-checked Get); never the reverse.
   Mutex inflight_mu_;
   std::unordered_map<std::string,
                      std::shared_future<std::shared_ptr<const CompiledBouquet>>>
       inflight_ GUARDED_BY(inflight_mu_);
 
-  mutable Mutex stats_mu_ ACQUIRED_AFTER(inflight_mu_);
-  ServiceStats stats_ GUARDED_BY(stats_mu_);
-
-  // Instantaneous load (lock-free; snapshotted into ServiceStats).
+  // Instantaneous load (lock-free; sampled by stats() and the gauges).
   std::atomic<int64_t> inflight_now_{0};
   std::atomic<int64_t> inflight_peak_{0};
 };

@@ -210,16 +210,34 @@ BufferManager::BufferManager(size_t pool_pages, EvictionPolicyKind kind)
     shards_[i].capacity =
         pool_pages_ / num_shards_ + (i < pool_pages_ % num_shards_ ? 1 : 0);
   }
+  obs::MetricsRegistry& m = metrics_;
+  ins_.hits = m.GetCounter("buffer_hits_total", "Buffer-pool accounting hits");
+  ins_.misses =
+      m.GetCounter("buffer_misses_total", "Buffer-pool accounting misses");
+  ins_.evictions =
+      m.GetCounter("buffer_evictions_total", "Pages evicted by the policy");
+  ins_.ghost_hits = m.GetCounter("buffer_ghost_hits_total",
+                                 "2Q ghost-queue promotions (also misses)");
+  ins_.writebacks = m.GetCounter(
+      "buffer_writebacks_total",
+      "Dirty frames written back (every pwrite is one)");
+  ins_.physical_reads = m.GetCounter("buffer_physical_reads_total",
+                                     "Page faults served by pread");
+  ins_.write_errors = m.GetCounter("buffer_write_errors_total",
+                                   "Failed writeback pwrites");
+  m.GetGauge("buffer_pinned_frames", "Frames currently pinned", [this] {
+    return static_cast<double>(pinned_.load(std::memory_order_relaxed));
+  });
 }
 
 BufferManager::~BufferManager() {
   for (size_t i = 0; i < num_shards_; ++i) {
     Shard& s = shards_[i];
     MutexLock lock(&s.mu);
-    // Final flush: no sinks are touched (the registry may already be gone).
+    // Final flush of dirty frames (spill temp pages included).
     for (const std::unique_ptr<Frame>& f : s.ring) {
       assert(f->pins == 0 && "frame still pinned at BufferManager destruction");
-      if (f->dirty && !WriteFrame(*f).ok()) s.stats.write_errors++;
+      if (f->dirty && !WriteFrame(*f).ok()) ins_.write_errors->Inc();
     }
   }
   for (std::atomic<FileChunk*>& chunk : file_chunks_) {
@@ -229,14 +247,19 @@ BufferManager::~BufferManager() {
 
 bool BufferManager::Access(PageId id) {
   MutexLock lock(&ledger_mu_);
-  const uint64_t evictions = base_.counts().evictions;
+  const AccessLedger::Counts before = base_.counts();
   const bool hit = base_.Access(id);
   snapshot_.reset();
-  if (ctr_hits_ != nullptr) {
-    (hit ? ctr_hits_ : ctr_misses_)->Inc();
-    ctr_evictions_->Inc(base_.counts().evictions - evictions);
-  }
+  CountBase(before);
   return hit;
+}
+
+void BufferManager::CountBase(const AccessLedger::Counts& before) {
+  const AccessLedger::Counts& now = base_.counts();
+  ins_.hits->Inc(now.hits - before.hits);
+  ins_.misses->Inc(now.misses - before.misses);
+  ins_.evictions->Inc(now.evictions - before.evictions);
+  ins_.ghost_hits->Inc(now.ghost_hits - before.ghost_hits);
 }
 
 AccessLedger BufferManager::ForkLedger() {
@@ -249,16 +272,10 @@ AccessLedger BufferManager::ForkLedger() {
 
 void BufferManager::FoldLedger(const AccessLedger& ledger) {
   const AccessLedger::Counts& c = ledger.counts();
-  MutexLock lock(&ledger_mu_);
-  folded_.hits += c.hits;
-  folded_.misses += c.misses;
-  folded_.evictions += c.evictions;
-  folded_.ghost_hits += c.ghost_hits;
-  if (ctr_hits_ != nullptr) {
-    ctr_hits_->Inc(c.hits);
-    ctr_misses_->Inc(c.misses);
-    ctr_evictions_->Inc(c.evictions);
-  }
+  ins_.hits->Inc(c.hits);
+  ins_.misses->Inc(c.misses);
+  ins_.evictions->Inc(c.evictions);
+  ins_.ghost_hits->Inc(c.ghost_hits);
 }
 
 // ---------------------------------------------------------------------------
@@ -332,25 +349,19 @@ BufferManager::Shard& BufferManager::ShardOf(uint64_t key) const {
   return shards_[PageIdHash{}(id) % num_shards_];
 }
 
-void BufferManager::PinLocked(Shard* s, Frame* f) {
+void BufferManager::PinLocked(Frame* f) {
   if (f->pins++ > 0) return;
   const uint64_t now = pinned_.fetch_add(1, std::memory_order_relaxed) + 1;
   uint64_t peak = pinned_peak_.load(std::memory_order_relaxed);
   while (now > peak && !pinned_peak_.compare_exchange_weak(
                            peak, now, std::memory_order_relaxed)) {
   }
-  if (s->sinks.pinned != nullptr) {
-    s->sinks.pinned->Set(static_cast<double>(now));
-  }
 }
 
 // Drops `f`'s last pin.
-void BufferManager::UnpinLocked(Shard* s, Frame* f) {
+void BufferManager::UnpinLocked(Frame* f) {
   f->pins = 0;
-  const uint64_t now = pinned_.fetch_sub(1, std::memory_order_relaxed) - 1;
-  if (s->sinks.pinned != nullptr) {
-    s->sinks.pinned->Set(static_cast<double>(now));
-  }
+  pinned_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 void BufferManager::RemoveFrameLocked(Shard* s, Frame* f) {
@@ -381,14 +392,8 @@ void BufferManager::WritebackLocked(Shard* s, Frame* f) {
   s->mu.Lock();
   f->state = FrameState::kReady;
   f->dirty = false;
-  s->stats.writebacks++;
-  s->stats.physical_writes++;
-  if (s->sinks.writebacks != nullptr) s->sinks.writebacks->Inc();
-  if (s->sinks.writes != nullptr) s->sinks.writes->Inc();
-  if (!ws.ok()) {
-    s->stats.write_errors++;
-    if (s->sinks.write_errors != nullptr) s->sinks.write_errors->Inc();
-  }
+  ins_.writebacks->Inc();
+  if (!ws.ok()) ins_.write_errors->Inc();
   s->io_done.NotifyAll();
 }
 
@@ -446,7 +451,6 @@ PageGuard BufferManager::PinFrame(Shard* s, PageId id, bool fresh) {
   PageFile* file = fresh ? nullptr : FileOf(id.file);
   if (!fresh && file == nullptr) return PageGuard();
   Frame* f = nullptr;
-  obs::Tracer* tracer = nullptr;
   {
     MutexLock lock(&s->mu);
     for (;;) {
@@ -459,7 +463,7 @@ PageGuard BufferManager::PinFrame(Shard* s, PageId id, bool fresh) {
         }
         assert(!fresh && "PinNew over an existing frame");
         cached->referenced = true;
-        PinLocked(s, cached);
+        PinLocked(cached);
         return PageGuard(this, id, cached->data.get());
       }
       if (ClaimFrameLocked(s, &f) == Claim::kFrame) break;
@@ -472,18 +476,18 @@ PageGuard BufferManager::PinFrame(Shard* s, PageId id, bool fresh) {
     f->referenced = false;
     f->state = fresh ? FrameState::kReady : FrameState::kLoading;
     s->table.emplace(key, f);
-    PinLocked(s, f);
+    PinLocked(f);
     if (fresh) {
       std::memset(f->data.get(), 0, kPageSize);
       return PageGuard(this, id, f->data.get());
     }
-    tracer = s->sinks.tracer;
   }
   // The fault itself runs unlocked; threads pinning the same page wait for
   // kLoading to end instead of reading it again.
   Status rs;
   {
-    obs::Span fault = obs::Tracer::Begin(tracer, "storage.page_fault");
+    obs::Span fault = obs::Tracer::Begin(
+        tracer_.load(std::memory_order_acquire), "storage.page_fault");
     rs = file->ReadPage(id.page, f->data.get());
     fault.Num("file", static_cast<double>(id.file))
         .Num("page", static_cast<double>(id.page));
@@ -492,12 +496,11 @@ PageGuard BufferManager::PinFrame(Shard* s, PageId id, bool fresh) {
   f->state = FrameState::kReady;
   s->io_done.NotifyAll();
   if (!rs.ok()) {
-    UnpinLocked(s, f);
+    UnpinLocked(f);
     RemoveFrameLocked(s, f);
     return PageGuard();
   }
-  s->stats.physical_reads++;
-  if (s->sinks.reads != nullptr) s->sinks.reads->Inc();
+  ins_.physical_reads->Inc();
   return PageGuard(this, id, f->data.get());
 }
 
@@ -514,7 +517,7 @@ void BufferManager::Unpin(PageId id, bool dirty) {
     f->pins--;
     return;
   }
-  UnpinLocked(&s, f);
+  UnpinLocked(f);
   // Reclaim starvation overshoot as pins drop. Re-pins of `f` wait out
   // its writeback and resume only after this returns.
   if (s.ring.size() <= s.capacity) return;
@@ -524,22 +527,14 @@ void BufferManager::Unpin(PageId id, bool dirty) {
 
 BufferStats BufferManager::stats() const {
   BufferStats out;
-  {
-    MutexLock lock(&ledger_mu_);
-    const AccessLedger::Counts& b = base_.counts();
-    out.hits = b.hits + folded_.hits;
-    out.misses = b.misses + folded_.misses;
-    out.evictions = b.evictions + folded_.evictions;
-    out.ghost_hits = b.ghost_hits + folded_.ghost_hits;
-  }
-  for (size_t i = 0; i < num_shards_; ++i) {
-    const Shard& s = shards_[i];
-    MutexLock lock(&s.mu);
-    out.writebacks += s.stats.writebacks;
-    out.physical_reads += s.stats.physical_reads;
-    out.physical_writes += s.stats.physical_writes;
-    out.write_errors += s.stats.write_errors;
-  }
+  out.hits = ins_.hits->value();
+  out.misses = ins_.misses->value();
+  out.evictions = ins_.evictions->value();
+  out.ghost_hits = ins_.ghost_hits->value();
+  out.writebacks = ins_.writebacks->value();
+  out.physical_reads = ins_.physical_reads->value();
+  out.physical_writes = out.writebacks;  // every pwrite is a writeback
+  out.write_errors = ins_.write_errors->value();
   out.pinned_frames = pinned_.load(std::memory_order_relaxed);
   out.pinned_peak = pinned_peak_.load(std::memory_order_relaxed);
   return out;
@@ -560,7 +555,6 @@ void BufferManager::ResetForTest() {
     MutexLock lock(&ledger_mu_);
     base_ = AccessLedger(pool_pages_, kind_);
     snapshot_.reset();
-    folded_ = AccessLedger::Counts();
   }
   for (size_t i = 0; i < num_shards_; ++i) {
     Shard& s = shards_[i];
@@ -572,44 +566,10 @@ void BufferManager::ResetForTest() {
         RemoveFrameLocked(&s, f);
       }
     }
-    s.stats = ShardStats();
   }
+  metrics_.ResetForTest();
   pinned_peak_.store(pinned_.load(std::memory_order_relaxed),
                      std::memory_order_relaxed);
-}
-
-void BufferManager::SetObservability(obs::MetricsRegistry* metrics,
-                                     obs::Tracer* tracer) {
-  Sinks sinks;
-  sinks.tracer = tracer;
-  {
-    MutexLock lock(&ledger_mu_);
-    if (metrics == nullptr) {
-      ctr_hits_ = ctr_misses_ = ctr_evictions_ = nullptr;
-    } else {
-      ctr_hits_ = metrics->GetCounter("buffer_hits_total",
-                                      "Buffer-pool accounting hits");
-      ctr_misses_ = metrics->GetCounter("buffer_misses_total",
-                                        "Buffer-pool accounting misses");
-      ctr_evictions_ = metrics->GetCounter("buffer_evictions_total",
-                                           "Pages evicted by the policy");
-      sinks.writebacks = metrics->GetCounter("buffer_writebacks_total",
-                                             "Dirty frames written back");
-      sinks.reads = metrics->GetCounter("buffer_physical_reads_total",
-                                        "Page faults served by pread");
-      sinks.writes = metrics->GetCounter("buffer_physical_writes_total",
-                                         "Page writes issued by pwrite");
-      sinks.write_errors = metrics->GetCounter("buffer_write_errors_total",
-                                               "Failed writeback pwrites");
-      sinks.pinned = metrics->GetGauge("buffer_pinned_frames",
-                                       "Frames currently pinned");
-    }
-  }
-  for (size_t i = 0; i < num_shards_; ++i) {
-    Shard& s = shards_[i];
-    MutexLock lock(&s.mu);
-    s.sinks = sinks;
-  }
 }
 
 }  // namespace storage

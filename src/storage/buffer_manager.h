@@ -47,10 +47,13 @@
 // through a ledger (index builds, spill temp pages) enter no ledger, so
 // bulk maintenance work cannot pollute the state the charges depend on.
 //
-// Thread-safety: ledger_mu_ guards the base ledger, its snapshot and the
-// accounting counters; each shard's mutex guards that shard's frames and
-// physical counters; files_mu_ guards file-id allocation (lookups are
-// lock-free). No two of these are ever held at once, and none is held
+// Counts: the manager owns one metrics registry (metrics()) and counts
+// every accounting and physical event once, into its buffer_* instruments,
+// from construction on; stats() reads those instruments.
+//
+// Thread-safety: ledger_mu_ guards the base ledger and its snapshot; each
+// shard's mutex guards that shard's frames; files_mu_ guards file-id
+// allocation (lookups are lock-free); the counters are atomic. No two of these are ever held at once, and none is held
 // across disk I/O, so they are leaves below any service/driver-level lock.
 // A private AccessLedger is single-threaded: one run owns it.
 
@@ -83,9 +86,9 @@ enum class EvictionPolicyKind {
 
 std::string EvictionPolicyName(EvictionPolicyKind kind);
 
-/// Cumulative counters (monotone except pinned_frames). hits, misses,
-/// evictions and ghost_hits are accounting counts: the base ledger's plus
-/// every folded private ledger's. The rest are physical.
+/// Snapshot of the manager's instruments (monotone except pinned_frames).
+/// hits, misses, evictions and ghost_hits are accounting counts: the base
+/// ledger's plus every folded private ledger's. The rest are physical.
 struct BufferStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -220,9 +223,9 @@ class BufferManager {
   /// state (copied lazily, on the fork's first state-changing access).
   AccessLedger ForkLedger() EXCLUDES(ledger_mu_);
 
-  /// Adds a private ledger's counts to stats() and the buffer_* counters.
-  /// Its state is discarded, never merged into the base.
-  void FoldLedger(const AccessLedger& ledger) EXCLUDES(ledger_mu_);
+  /// Adds a private ledger's counts to the buffer_* counters (and so to
+  /// stats()). Its state is discarded, never merged into the base.
+  void FoldLedger(const AccessLedger& ledger);
 
   /// PHYSICAL: pins the page, faulting it from disk when no frame holds
   /// it. Never fails for capacity reasons (see header comment); I/O errors
@@ -233,7 +236,9 @@ class BufferManager {
   /// be written (temp spill pages); no disk read, frame starts dirty.
   PageGuard PinNew(PageId id);
 
-  BufferStats stats() const EXCLUDES(ledger_mu_);
+  BufferStats stats() const;
+  /// The registry holding this pool's buffer_* instruments.
+  obs::MetricsRegistry& metrics() { return metrics_; }
   size_t pool_pages() const { return pool_pages_; }
   EvictionPolicyKind policy_kind() const { return kind_; }
   /// Frames currently alive; > pool_pages() means eviction is starved by
@@ -245,11 +250,11 @@ class BufferManager {
   /// start from an identical (cold) replacement state.
   void ResetForTest() EXCLUDES(ledger_mu_);
 
-  /// Optional sinks: buffer_* counters/gauges move at event time (private
-  /// ledgers' accounting counts when folded), and every physical read
-  /// emits a "storage.page_fault" span.
-  void SetObservability(obs::MetricsRegistry* metrics, obs::Tracer* tracer)
-      EXCLUDES(ledger_mu_);
+  /// Optional tracer (null = off): every physical read emits a
+  /// "storage.page_fault" span.
+  void SetObservability(obs::Tracer* tracer) {
+    tracer_.store(tracer, std::memory_order_release);
+  }
 
  private:
   enum class FrameState : uint8_t {
@@ -268,20 +273,15 @@ class BufferManager {
     FrameState state = FrameState::kReady;
   };
 
-  // Physical counters and sinks per shard, summed by stats().
-  struct ShardStats {
-    uint64_t writebacks = 0;
-    uint64_t physical_reads = 0;
-    uint64_t physical_writes = 0;
-    uint64_t write_errors = 0;
-  };
-  struct Sinks {
-    obs::Tracer* tracer = nullptr;
-    obs::Counter* writebacks = nullptr;
-    obs::Counter* reads = nullptr;
-    obs::Counter* writes = nullptr;
-    obs::Counter* write_errors = nullptr;
-    obs::Gauge* pinned = nullptr;
+  // Resolved once from metrics_ at construction; never null.
+  struct Instruments {
+    obs::Counter* hits;
+    obs::Counter* misses;
+    obs::Counter* evictions;
+    obs::Counter* ghost_hits;
+    obs::Counter* writebacks;
+    obs::Counter* physical_reads;
+    obs::Counter* write_errors;
   };
 
   // One page-keyed slice of the pool: its frames form the CLOCK ring, and
@@ -293,8 +293,6 @@ class BufferManager {
     std::vector<std::unique_ptr<Frame>> ring GUARDED_BY(mu);
     std::unordered_map<uint64_t, Frame*> table GUARDED_BY(mu);
     size_t hand GUARDED_BY(mu) = 0;
-    ShardStats stats GUARDED_BY(mu);
-    Sinks sinks GUARDED_BY(mu);
   };
 
   // Where a Pin/PinNew that found no frame gets one. kRetry: the shard
@@ -309,14 +307,19 @@ class BufferManager {
   Status WriteFrame(const Frame& f) const;
   void WritebackLocked(Shard* s, Frame* f) REQUIRES(s->mu);
   void RemoveFrameLocked(Shard* s, Frame* f) REQUIRES(s->mu);
-  void PinLocked(Shard* s, Frame* f) REQUIRES(s->mu);
-  void UnpinLocked(Shard* s, Frame* f) REQUIRES(s->mu);
+  void PinLocked(Frame* f);
+  void UnpinLocked(Frame* f);
+  // Counts the base ledger's accounting since `before` (under ledger_mu_).
+  void CountBase(const AccessLedger::Counts& before) REQUIRES(ledger_mu_);
   void Unpin(PageId id, bool dirty);
 
   friend class PageGuard;
 
   const size_t pool_pages_;
   const EvictionPolicyKind kind_;
+  obs::MetricsRegistry metrics_;
+  Instruments ins_;
+  std::atomic<obs::Tracer*> tracer_{nullptr};
 
   // Accounting.
   mutable Mutex ledger_mu_;
@@ -324,12 +327,8 @@ class BufferManager {
   /// Copy of the base state shared by forks; reset when the base changes.
   std::shared_ptr<const AccessLedger::State> snapshot_
       GUARDED_BY(ledger_mu_);
-  AccessLedger::Counts folded_ GUARDED_BY(ledger_mu_);
-  obs::Counter* ctr_hits_ GUARDED_BY(ledger_mu_) = nullptr;
-  obs::Counter* ctr_misses_ GUARDED_BY(ledger_mu_) = nullptr;
-  obs::Counter* ctr_evictions_ GUARDED_BY(ledger_mu_) = nullptr;
 
-  // Physical.
+  // Physical. pinned_ is sampled by stats() and buffer_pinned_frames.
   const size_t num_shards_;
   std::unique_ptr<Shard[]> shards_;
   std::atomic<uint64_t> pinned_{0};

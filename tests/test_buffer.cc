@@ -355,8 +355,6 @@ TEST_F(PinnedFixture, FailedWritebackCountsWriteErrors) {
   // failure by closing the file's fd under the manager: the dirty page's
   // writeback hits EBADF.
   BufferManager bm(1, EvictionPolicyKind::kLru);
-  obs::MetricsRegistry metrics;
-  bm.SetObservability(&metrics, nullptr);
   const uint16_t fid = bm.RegisterFile(file_.get());
   const PageId a{fid, 0};
   bm.Access(a);
@@ -375,7 +373,7 @@ TEST_F(PinnedFixture, FailedWritebackCountsWriteErrors) {
   EXPECT_EQ(bm.stats().writebacks, 1u);  // attempted...
   EXPECT_EQ(bm.stats().write_errors, 1u);  // ...and recorded as lost
   EXPECT_EQ(
-      metrics.GetCounter("buffer_write_errors_total", "")->value(), 1u);
+      bm.metrics().GetCounter("buffer_write_errors_total", "")->value(), 1u);
 }
 
 // ---------------------------------------------------------------------------

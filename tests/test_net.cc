@@ -27,6 +27,8 @@
 #include <thread>
 #include <vector>
 
+#include "bouquet/serialize.h"
+#include "ess/posp_generator.h"
 #include "net/client.h"
 #include "net/connection.h"
 #include "net/event_loop.h"
@@ -42,6 +44,15 @@
 namespace bouquet {
 namespace net {
 namespace {
+
+// The value a Prometheus export prints for `series`; NaN when absent.
+double Exported(const std::string& text, const std::string& series) {
+  const std::string lines = "\n" + text;
+  const std::string key = "\n" + series + " ";
+  const size_t at = lines.find(key);
+  if (at == std::string::npos) return std::nan("");
+  return std::strtod(lines.c_str() + at + key.size(), nullptr);
+}
 
 // -------------------------------------------------------------------- codec
 
@@ -500,6 +511,73 @@ TEST(RequestRouterTest, DrainRejectsNewSubmissions) {
   EXPECT_EQ(router.stats().rejected_draining, 1u);
 }
 
+// Admitted, throttled, shed and drain-rejected requests each move exactly
+// one instrument, and stats() reads those instruments.
+TEST(RequestRouterTest, StatsReadTheExportedInstruments) {
+  RouterOptions opts;
+  opts.batch_window_ms = 200.0;
+  opts.max_batch = 2;
+  opts.max_queue_depth = 3;
+  opts.max_inflight_batches = 1;
+
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  std::atomic<int> responded{0};
+  std::atomic<int> failed{0};
+  RequestRouter* router_ptr = nullptr;
+  RequestRouter router(
+      opts,
+      [&](const std::string&, std::vector<RoutedRequest> batch) {
+        std::thread([&, b = std::make_shared<std::vector<RoutedRequest>>(
+                            std::move(batch))]() mutable {
+          gate.wait();
+          ResultMsg msg;
+          for (RoutedRequest& r : *b) r.respond(msg);
+          router_ptr->OnBatchDone();
+        }).detach();
+      },
+      [&](RoutedRequest req) { req.respond(ResultMsg{}); });
+  router_ptr = &router;
+  router.SetTenant(7, 1e-6, 2.0, 1.0);  // two tokens, no refill
+
+  for (int i = 0; i < 5; ++i) {
+    router.Submit(MakeRouted("t", 7, &responded, &failed));
+  }
+  for (int i = 0; i < 12; ++i) {
+    router.Submit(MakeRouted("t", 0, &responded, &failed));
+  }
+  release.set_value();
+  router.Drain();
+  router.Submit(MakeRouted("t", 0, &responded, &failed));  // draining
+  EXPECT_EQ(responded.load() + failed.load(), 18);
+
+  const RouterStats s = router.stats();
+  const std::string text = router.metrics().ExportPrometheus();
+  const std::pair<const char*, uint64_t> pairs[] = {
+      {"net_requests_total", s.submitted},
+      {"net_admitted_total", s.admitted},
+      {"net_throttled_total", s.throttled},
+      {"net_shed_total", s.shed},
+      {"net_rejected_draining_total", s.rejected_draining},
+      {"net_batches_total", s.batches},
+      {"net_batched_requests_total", s.batched_requests},
+      {"net_queue_depth", s.queue_depth},
+      {"net_queue_depth_peak", s.peak_queue_depth},
+      {"net_inflight_batches", s.inflight_batches},
+  };
+  for (const auto& [series, value] : pairs) {
+    EXPECT_EQ(Exported(text, series), static_cast<double>(value)) << series;
+  }
+  EXPECT_EQ(s.submitted, 18u);
+  EXPECT_EQ(s.throttled, 3u);
+  EXPECT_EQ(s.rejected_draining, 1u);
+  EXPECT_GE(s.shed, 1u);
+  EXPECT_EQ(s.admitted + s.shed + s.throttled + s.rejected_draining,
+            s.submitted);
+  EXPECT_EQ(s.batched_requests, s.admitted);
+  EXPECT_LE(s.peak_queue_depth, opts.max_queue_depth);
+}
+
 // ---------------------------------------------------------------- safe plan
 
 TEST(SafePlanTest, RunSafeIsOneBoundedExecution) {
@@ -563,7 +641,6 @@ class LoopbackServerTest : public ::testing::Test {
     o.grid_resolution = 20;
     o.min_shard_points = 1;
     o.tracer = &tracer_;
-    o.metrics = &metrics_;
     return o;
   }
 
@@ -572,13 +649,11 @@ class LoopbackServerTest : public ::testing::Test {
     o.num_reactors = 2;
     o.router.batch_window_ms = 1.0;
     o.tracer = &tracer_;
-    o.metrics = &metrics_;
     return o;
   }
 
   Catalog catalog_;
   obs::Tracer tracer_{1 << 16};
-  obs::MetricsRegistry metrics_;
 };
 
 TEST_F(LoopbackServerTest, ServesQueriesMetricsAndTracesOverTheWire) {
@@ -790,7 +865,8 @@ TEST_F(LoopbackServerTest, FailedWriteInterestUpdateClosesConnection) {
   ASSERT_TRUE(client_or.ok()) << client_or.status().ToString();
   BlockingClient client = std::move(client_or).value();
   ASSERT_TRUE(client.Hello().ok());  // the reactor has adopted the socket
-  obs::Gauge* open_conns = metrics_.GetGauge("net_connections_open", "");
+  obs::Gauge* open_conns =
+      server.metrics().GetGauge("net_connections_open", "");
   ASSERT_EQ(open_conns->value(), 1.0);
 
   QueryMsg q;
@@ -842,6 +918,107 @@ TEST_F(LoopbackServerTest, FailedTraceExportIsReported) {
   EXPECT_FALSE(exported.ok());
   EXPECT_NE(exported.message().find(sopts.trace_path), std::string::npos);
   std::remove(not_a_dir.c_str());
+}
+
+// The warm-cache gauges move when the cache does: a METRICS scrape right
+// after WarmStart, with no stats() call in between, already shows the
+// resident warm-started bundle.
+TEST_F(LoopbackServerTest, WireMetricsShowWarmStartWithoutStats) {
+  const ServiceOptions opts = FastService();
+  const QuerySpec query = MakeEqQuery(catalog_);
+  const EssGrid grid(query, {opts.grid_resolution});
+  const PlanDiagram diagram =
+      GeneratePosp(query, catalog_, opts.cost_params, grid);
+  QueryOptimizer opt(query, catalog_, opts.cost_params);
+  const PlanBouquet bouquet = BuildBouquet(diagram, &opt, opts.bouquet_params);
+  const std::string path = ::testing::TempDir() + "/test_net_warm.bouquet";
+  ASSERT_TRUE(SaveBouquetToFile(diagram, bouquet, path).ok());
+
+  BouquetService service(catalog_, opts);
+  BouquetServer server(&service, FastServer());
+  ASSERT_TRUE(server.Start().ok());
+  ASSERT_TRUE(service.WarmStart(query, path).ok());
+  auto client_or = BlockingClient::Connect(server.port());
+  ASSERT_TRUE(client_or.ok()) << client_or.status().ToString();
+  BlockingClient client = std::move(client_or).value();
+  ASSERT_TRUE(client.Hello().ok());
+  auto text = client.MetricsText();
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  EXPECT_NE(text.value().find("\nservice_cache_warm_entries 1\n"),
+            std::string::npos);
+  EXPECT_EQ(Exported(text.value(), "service_warm_starts_total"), 1.0);
+  server.RequestShutdown();
+  server.Wait();
+  std::remove(path.c_str());
+}
+
+// Two services and two servers in one process (the serve smoke builds two
+// servers in sequence): each instance's stats() and export count its own
+// traffic only.
+TEST_F(LoopbackServerTest, EachServiceAndServerCountsOnlyItsOwnTraffic) {
+  const QuerySpec query = MakeEqQuery(catalog_);
+  BouquetService service_a(catalog_, FastService());
+  BouquetService service_b(catalog_, FastService());
+  // Serves `n` queries through a fresh server on `service`, which has
+  // served `before` requests already.
+  auto serve = [&](BouquetService* service, int n, int before) {
+    auto server = std::make_unique<BouquetServer>(service, FastServer());
+    EXPECT_TRUE(server->RegisterTemplate(query).ok());
+    EXPECT_TRUE(server->Start().ok());
+    auto client = BlockingClient::Connect(server->port());
+    EXPECT_TRUE(client.ok());
+    if (!client.ok()) return server;
+    EXPECT_TRUE(client->Hello().ok());
+    for (int i = 0; i < n; ++i) {
+      QueryMsg q;
+      q.request_id = static_cast<uint64_t>(i + 1);
+      q.template_name = query.name;
+      q.selectivities = {0.01 * (i + 1)};
+      auto out = client->Query(q);
+      EXPECT_TRUE(out.ok() && out->ok);
+    }
+    // Scraped over this server's own wire.
+    auto text = client->MetricsText();
+    EXPECT_TRUE(text.ok());
+    if (text.ok()) {
+      EXPECT_EQ(Exported(text.value(), "net_requests_total"), n);
+      EXPECT_EQ(Exported(text.value(), "service_requests_total"), before + n);
+    }
+    return server;
+  };
+  auto first = serve(&service_a, 5, 0);
+  auto second = serve(&service_b, 3, 0);
+  for (auto* server : {first.get(), second.get()}) {
+    server->RequestShutdown();
+    server->Wait();
+  }
+
+  EXPECT_EQ(first->router().stats().submitted, 5u);
+  EXPECT_EQ(second->router().stats().submitted, 3u);
+  EXPECT_EQ(Exported(first->metrics().ExportPrometheus(), "net_requests_total"),
+            5.0);
+  EXPECT_EQ(
+      Exported(second->metrics().ExportPrometheus(), "net_requests_total"),
+      3.0);
+  EXPECT_EQ(service_a.stats().requests, 5u);
+  EXPECT_EQ(service_b.stats().requests, 3u);
+  EXPECT_EQ(Exported(service_a.metrics().ExportPrometheus(),
+                     "service_requests_total"),
+            5.0);
+  EXPECT_EQ(Exported(service_b.metrics().ExportPrometheus(),
+                     "service_requests_total"),
+            3.0);
+  EXPECT_EQ(service_a.stats().compilations, 1u);
+  EXPECT_EQ(service_b.stats().compilations, 1u);
+
+  // A second server on the first service (the smoke's overload phase)
+  // starts its own counts from zero; the service keeps counting.
+  auto third = serve(&service_a, 2, 5);
+  third->RequestShutdown();
+  third->Wait();
+  EXPECT_EQ(third->router().stats().submitted, 2u);
+  EXPECT_EQ(service_a.stats().requests, 7u);
+  EXPECT_EQ(service_b.stats().requests, 3u);
 }
 
 }  // namespace

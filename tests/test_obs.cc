@@ -217,12 +217,10 @@ TEST(MetricsRegistryTest, PrometheusExportFormat) {
 TEST(ServiceObservabilityTest, TracedRequestsSatisfyBudgetInvariant) {
   const Catalog catalog = MakeTpchCatalog(1.0);
   obs::Tracer tracer(1 << 14);
-  obs::MetricsRegistry metrics;
   ServiceOptions opts;
   opts.num_threads = 2;
   opts.grid_resolution = 20;
   opts.tracer = &tracer;
-  opts.metrics = &metrics;
   BouquetService service(catalog, opts);
 
   const QuerySpec query = MakeEqQuery(catalog);
@@ -294,7 +292,7 @@ TEST(ServiceObservabilityTest, TracedRequestsSatisfyBudgetInvariant) {
   std::remove(path);
 
   // Metrics: the required instruments are exposed with sane values.
-  const std::string prom = metrics.ExportPrometheus();
+  const std::string prom = service.metrics().ExportPrometheus();
   EXPECT_NE(prom.find("service_requests_total 4"), std::string::npos);
   EXPECT_NE(prom.find("service_cache_hits_total 3"), std::string::npos);
   EXPECT_NE(prom.find("service_cache_misses_total 1"), std::string::npos);
@@ -307,7 +305,8 @@ TEST(ServiceObservabilityTest, TracedRequestsSatisfyBudgetInvariant) {
 
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.plan_executions,
-            metrics.GetCounter("bouquet_executions_total", "")->value());
+            service.metrics().GetCounter("bouquet_executions_total", "")
+                ->value());
   EXPECT_GT(stats.plan_executions, 0u);
 }
 
@@ -471,11 +470,11 @@ TEST_F(DriverObsTest, OptimizedRunTraceMatchesStepsAndLearnsDims) {
 
   // Driver metrics agree with the result record.
   EXPECT_EQ(
-      metrics.GetCounter("bouquet_driver_executions_total", "")->value(),
+      metrics.GetCounter("bouquet_executions_total", "")->value(),
       static_cast<uint64_t>(res.num_executions));
-  EXPECT_EQ(metrics.GetCounter("bouquet_driver_spills_total", "")->value(),
+  EXPECT_EQ(metrics.GetCounter("bouquet_spills_total", "")->value(),
             static_cast<uint64_t>(spilled_steps));
-  EXPECT_EQ(metrics.GetCounter("bouquet_driver_fallbacks_total", "")->value(),
+  EXPECT_EQ(metrics.GetCounter("bouquet_fallbacks_total", "")->value(),
             0u);
 }
 
@@ -512,10 +511,10 @@ TEST_F(DriverObsTest, SafetyNetFallbackIsTracedAndCounted) {
   EXPECT_DOUBLE_EQ(NumAttr(run_spans[0], "contours_crossed"),
                    static_cast<double>(starved.contours.size()));
 
-  EXPECT_EQ(metrics.GetCounter("bouquet_driver_fallbacks_total", "")->value(),
+  EXPECT_EQ(metrics.GetCounter("bouquet_fallbacks_total", "")->value(),
             1u);
   EXPECT_EQ(
-      metrics.GetCounter("bouquet_driver_contour_crossings_total", "")
+      metrics.GetCounter("bouquet_contour_crossings_total", "")
           ->value(),
       static_cast<uint64_t>(starved.contours.size()));
   // Budget-utilization histogram saw every budgeted (non-fallback) step.

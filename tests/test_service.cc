@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -606,12 +607,10 @@ TEST(ServiceRealDataTest, StarvedBudgetFallbackIsCounted) {
   SyncTpchCatalog(db, &catalog);
   const QuerySpec form = Make2DHQ8a(catalog);
 
-  obs::MetricsRegistry metrics;
   ServiceOptions opts;
   opts.num_threads = 1;
   opts.grid_resolution = 10;
   opts.database = &db;
-  opts.metrics = &metrics;
   const EssGrid grid(form, {10, 10});
   const PlanDiagram diagram =
       GeneratePosp(form, catalog, opts.cost_params, grid);
@@ -635,9 +634,9 @@ TEST(ServiceRealDataTest, StarvedBudgetFallbackIsCounted) {
   EXPECT_EQ(res->real.contours_crossed,
             static_cast<int>(starved.contours.size()));
   EXPECT_EQ(service.stats().fallbacks, 1u);
-  EXPECT_EQ(metrics.GetCounter("bouquet_fallbacks_total", "")->value(), 1u);
-  EXPECT_EQ(metrics.GetCounter("bouquet_driver_fallbacks_total", "")->value(),
-            1u);
+  EXPECT_EQ(
+      service.metrics().GetCounter("bouquet_fallbacks_total", "")->value(),
+      1u);
   std::remove(path.c_str());
 }
 
@@ -754,6 +753,239 @@ TEST_F(ServiceTest, StatsExposeWarmCacheGauges) {
   EXPECT_EQ(s.cache_warm_entries, 1u);
   EXPECT_EQ(s.cache_warm_evictions, 0u);
   std::remove(path.c_str());
+}
+
+// ------------------------------------------------- one count per event
+
+// The value a Prometheus export prints for `series`; NaN when absent.
+double Exported(const std::string& text, const std::string& series) {
+  const std::string lines = "\n" + text;
+  const std::string key = "\n" + series + " ";
+  const size_t at = lines.find(key);
+  if (at == std::string::npos) return std::nan("");
+  return std::strtod(lines.c_str() + at + key.size(), nullptr);
+}
+
+// Every ServiceStats field backed by an instrument equals what metrics()
+// exports for it, and so do the sampled levels.
+void ExpectStatsMatchExport(BouquetService& service) {
+  const ServiceStats s = service.stats();
+  const std::string text = service.metrics().ExportPrometheus();
+  const std::pair<const char*, double> pairs[] = {
+      {"service_requests_total", static_cast<double>(s.requests)},
+      {"service_cache_hits_total", static_cast<double>(s.cache_hits)},
+      {"service_cache_misses_total", static_cast<double>(s.cache_misses)},
+      {"service_cache_misses_total", static_cast<double>(s.compilations)},
+      {"service_shared_compiles_total",
+       static_cast<double>(s.shared_compiles)},
+      {"service_warm_starts_total", static_cast<double>(s.warm_starts)},
+      {"service_posp_dp_calls_total", static_cast<double>(s.posp_dp_calls)},
+      {"service_posp_recost_hits_total",
+       static_cast<double>(s.posp_recost_hits)},
+      {"service_posp_memo_hits_total", static_cast<double>(s.posp_memo_hits)},
+      {"service_posp_audit_checks_total",
+       static_cast<double>(s.posp_audit_checks)},
+      {"service_posp_audit_failures_total",
+       static_cast<double>(s.posp_audit_failures)},
+      {"service_compile_seconds_sum", s.compile_seconds},
+      {"service_execute_seconds_sum", s.execute_seconds},
+      {"service_latency_seconds_sum", s.latency_seconds},
+      {"bouquet_executions_total", static_cast<double>(s.plan_executions)},
+      {"bouquet_contour_crossings_total",
+       static_cast<double>(s.contour_crossings)},
+      {"bouquet_spills_total", static_cast<double>(s.spills)},
+      {"bouquet_fallbacks_total", static_cast<double>(s.fallbacks)},
+      {"service_batches_total", static_cast<double>(s.batches)},
+      {"service_batch_requests_total", static_cast<double>(s.batch_requests)},
+      {"service_shed_total", static_cast<double>(s.sheds)},
+      {"service_inflight_requests", static_cast<double>(s.inflight_requests)},
+      {"service_queue_depth", static_cast<double>(s.queue_depth)},
+      {"feedback_lookups_total", static_cast<double>(s.feedback_lookups)},
+      {"feedback_hits_total", static_cast<double>(s.feedback_hits)},
+      {"feedback_records_total", static_cast<double>(s.feedback_records)},
+      {"feedback_warm_runs_total", static_cast<double>(s.feedback_warm_runs)},
+      {"feedback_contours_skipped_total",
+       static_cast<double>(s.feedback_contours_skipped)},
+      {"feedback_box_shrinks_total",
+       static_cast<double>(s.feedback_box_shrinks)},
+      {"service_cache_warm_entries",
+       static_cast<double>(s.cache_warm_entries)},
+      {"service_cache_warm_evictions",
+       static_cast<double>(s.cache_warm_evictions)},
+      {"service_cache_hit_rate", s.CacheHitRate()},
+  };
+  for (const auto& [series, value] : pairs) {
+    EXPECT_EQ(Exported(text, series), value) << series;
+  }
+}
+
+// Simulation mode, feedback warm runs, batches, a file warm start and the
+// shed path: every count agrees with its instrument, and the ladder's run-
+// phase counts agree with the per-request results.
+TEST_F(ServiceTest, SimulatedCountsAgreeWithExport) {
+  FeedbackStore store;
+  ServiceOptions opts = FastOptions();
+  opts.feedback = &store;
+
+  QuerySpec narrow = query_;
+  narrow.name = "EQ-narrow";
+  narrow.error_dims[0].lo = 1e-3;
+  const EssGrid grid(narrow, {opts.grid_resolution});
+  const PlanDiagram diagram =
+      GeneratePosp(narrow, catalog_, opts.cost_params, grid);
+  QueryOptimizer opt(narrow, catalog_, opts.cost_params);
+  const PlanBouquet bouquet =
+      BuildBouquet(diagram, &opt, opts.bouquet_params);
+  const std::string path =
+      ::testing::TempDir() + "/test_service_counts.bouquet";
+  ASSERT_TRUE(SaveBouquetToFile(diagram, bouquet, path).ok());
+
+  BouquetService service(catalog_, opts);
+  ASSERT_TRUE(service.WarmStart(narrow, path).ok());
+  std::vector<SimResult> runs;
+  auto request = [&](const QuerySpec& q, double s) {
+    ServiceRequest req;
+    req.query = q;
+    req.actual_selectivities = {s};
+    return req;
+  };
+  for (double s : {0.9, 0.9, 0.9, 0.9, 0.02, 0.3}) {
+    auto res = service.Run(request(query_, s));
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    runs.push_back(res->sim);
+  }
+  auto narrow_run = service.Run(request(narrow, 0.05));
+  ASSERT_TRUE(narrow_run.ok());
+  runs.push_back(narrow_run->sim);
+  auto batch = service.RunBatch(
+      {request(query_, 0.001), request(query_, 0.1), request(query_, 0.6)});
+  ASSERT_TRUE(batch.ok());
+  for (const ServiceResult& r : batch.value()) runs.push_back(r.sim);
+  uint64_t executions = 0;
+  for (double s : {0.2, 0.7}) {
+    auto shed = service.RunSafePlan(request(query_, s));
+    ASSERT_TRUE(shed.ok());
+    executions += static_cast<uint64_t>(shed->sim.num_executions);
+  }
+  ExpectStatsMatchExport(service);
+
+  uint64_t crossings = 0, spills = 0, fallbacks = 0;
+  for (const SimResult& r : runs) {
+    executions += static_cast<uint64_t>(r.num_executions);
+    fallbacks += r.fallback_used ? 1 : 0;
+    // Contours advanced past: warm-skipped ones are not crossed.
+    crossings += static_cast<uint64_t>(r.final_contour - r.start_contour);
+    for (const SimStep& step : r.steps) {
+      if (!step.completed && step.learned_dim >= 0) ++spills;
+    }
+  }
+  const ServiceStats s = service.stats();
+  EXPECT_EQ(s.requests, 12u);
+  EXPECT_EQ(s.warm_starts, 1u);
+  EXPECT_EQ(s.cache_warm_entries, 1u);
+  EXPECT_EQ(s.compilations, 1u);
+  EXPECT_EQ(s.sheds, 2u);
+  EXPECT_EQ(s.batches, 1u);
+  EXPECT_GE(s.feedback_warm_runs, 1u);
+  EXPECT_GT(s.posp_dp_calls, 0);
+  EXPECT_EQ(fallbacks, 0u);
+  EXPECT_EQ(s.plan_executions, executions);
+  EXPECT_EQ(s.contour_crossings, crossings);
+  EXPECT_EQ(s.spills, spills);
+  EXPECT_GT(s.spills + s.contour_crossings, 0u);
+  std::remove(path.c_str());
+}
+
+// Real-data mode on a paged database whose pool served accesses before the
+// service existed: the service's counts agree with its export, the pool's
+// BufferStats with the pool's own export, and ServiceStats' buffer fields
+// with BufferStats.
+TEST(ServiceRealDataTest, RealDataAndPoolCountsAgreeWithExport) {
+  Database mem;
+  TpchDataOptions data_opts;
+  data_opts.mini_scale = 0.1;
+  MakeTpchDatabase(&mem, data_opts);
+  Catalog catalog;
+  SyncTpchCatalog(mem, &catalog);
+  const QuerySpec form = Make2DHQ8a(catalog);
+
+  storage::StorageOptions sopts;
+  sopts.data_dir = ::testing::TempDir() + "/service_counts_agree";
+  sopts.pool_pages = 16;
+  sopts.policy = storage::EvictionPolicyKind::k2Q;
+  storage::StorageManager sm(sopts);
+  for (const std::string& t : form.tables) {
+    ASSERT_TRUE(sm.ImportTable(mem.table(t)).ok()) << t;
+  }
+  Database db;
+  db.AttachStorage(&sm);
+  storage::BufferManager* pool = sm.buffer();
+  for (uint32_t page = 0; page < 4; ++page) {
+    pool->Access(storage::PageId{1, page});
+    pool->Access(storage::PageId{1, page});
+  }
+  ASSERT_GT(pool->stats().hits, 0u);
+
+  obs::Tracer tracer(1 << 16);
+  ServiceOptions opts;
+  opts.num_threads = 2;
+  opts.grid_resolution = 10;
+  opts.min_shard_points = 1;
+  opts.database = &db;
+  opts.tracer = &tracer;
+  BouquetService service(catalog, opts);
+  std::vector<DriverResult> runs;
+  const double locations[][2] = {{0.337, 0.456}, {0.05, 0.3}, {0.9, 0.02}};
+  for (const auto& loc : locations) {
+    ServiceRequest req;
+    req.query = form;
+    BindSelectionConstants(&req.query, catalog, {loc[0], loc[1]});
+    req.mode = ExecutionMode::kRealData;
+    auto res = service.Run(req);
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    ASSERT_TRUE(res->real.completed);
+    runs.push_back(res->real);
+  }
+  ExpectStatsMatchExport(service);
+
+  uint64_t executions = 0, crossings = 0, spills = 0;
+  for (const DriverResult& r : runs) {
+    executions += static_cast<uint64_t>(r.num_executions);
+    crossings +=
+        static_cast<uint64_t>(r.contours_crossed - r.warm_contours_skipped);
+    for (const DriverStep& step : r.steps) spills += step.spilled ? 1 : 0;
+  }
+  const ServiceStats s = service.stats();
+  EXPECT_EQ(s.plan_executions, executions);
+  EXPECT_EQ(s.contour_crossings, crossings);
+  EXPECT_EQ(s.spills, spills);
+  EXPECT_GT(s.spills, 0u);
+
+  const storage::BufferStats b = pool->stats();
+  const std::string text = pool->metrics().ExportPrometheus();
+  const std::pair<const char*, uint64_t> pairs[] = {
+      {"buffer_hits_total", b.hits},
+      {"buffer_misses_total", b.misses},
+      {"buffer_evictions_total", b.evictions},
+      {"buffer_ghost_hits_total", b.ghost_hits},
+      {"buffer_writebacks_total", b.writebacks},
+      {"buffer_physical_reads_total", b.physical_reads},
+      {"buffer_write_errors_total", b.write_errors},
+      {"buffer_pinned_frames", b.pinned_frames},
+  };
+  for (const auto& [series, value] : pairs) {
+    EXPECT_EQ(Exported(text, series), static_cast<double>(value)) << series;
+  }
+  EXPECT_GT(b.physical_reads, 0u);
+  EXPECT_EQ(s.buffer_hits, b.hits);
+  EXPECT_EQ(s.buffer_misses, b.misses);
+  EXPECT_EQ(s.buffer_evictions, b.evictions);
+  EXPECT_EQ(s.buffer_writebacks, b.writebacks);
+  EXPECT_EQ(s.buffer_pinned_peak, b.pinned_peak);
+  const auto events = tracer.Snapshot();
+  EXPECT_TRUE(std::any_of(events.begin(), events.end(), [](const auto& e) {
+    return e.name == "storage.page_fault";
+  }));
 }
 
 }  // namespace
